@@ -282,7 +282,7 @@ func writePipeTrace(path string, e *pipeline.Engine, img *prog.Image) error {
 	if err != nil {
 		return err
 	}
-	if err := e.WriteChromeTrace(f, sim.NewSymTable(img)); err != nil {
+	if err := e.WriteChromeTrace(f, prog.NewSymTable(img)); err != nil {
 		f.Close()
 		return err
 	}
@@ -295,7 +295,7 @@ func printAccount(e *pipeline.Engine, img *prog.Image) {
 	fmt.Fprintf(os.Stderr, "--- cycle accounting (%d cycles, %d ifetch bytes, %.3f CPI) ---\n",
 		e.Cycles(), e.FetchBytes(), float64(e.Cycles())/float64(max64(e.Instrs, 1)))
 	pipeline.WriteBreakdown(os.Stderr, []string{"cycles"}, []pipeline.Breakdown{e.Breakdown()})
-	funcs := e.PerFunc(sim.NewSymTable(img))
+	funcs := e.PerFunc(prog.NewSymTable(img))
 	const top = 10
 	fmt.Fprintf(os.Stderr, "--- hottest functions (top %d of %d) ---\n", min(top, len(funcs)), len(funcs))
 	fmt.Fprintf(os.Stderr, "%12s  %6s  %12s  %6s  %s\n", "cycles", "%", "ifetch B", "useful%", "function")

@@ -8,6 +8,11 @@
 // enough to exercise 1–16 KiB instruction caches.
 package bench
 
+import (
+	"slices"
+	"sync"
+)
+
 // Benchmark is one suite program.
 type Benchmark struct {
 	Name string
@@ -26,8 +31,10 @@ type Benchmark struct {
 	FP bool
 }
 
-// All returns the full suite in the paper's Table 2 order.
-func All() []*Benchmark {
+// suite is the benchmark set, built once: latex and ipl are generated
+// through synth.EmitPhased, which is too slow to repeat on every
+// lookup.
+var suite = sync.OnceValue(func() []*Benchmark {
 	return []*Benchmark{
 		Ackermann(),
 		Assem(),
@@ -45,11 +52,17 @@ func All() []*Benchmark {
 		IPL(),
 		Whetstone(),
 	}
-}
+})
 
-// ByName returns the named benchmark or nil.
+// All returns the full suite in the paper's Table 2 order. The slice is
+// the caller's own; the benchmarks it points to are shared by every
+// caller and must not be modified.
+func All() []*Benchmark { return slices.Clone(suite()) }
+
+// ByName returns the named benchmark or nil. The result is shared (see
+// All).
 func ByName(name string) *Benchmark {
-	for _, b := range All() {
+	for _, b := range suite() {
 		if b.Name == name {
 			return b
 		}
@@ -61,7 +74,7 @@ func ByName(name string) *Benchmark {
 // use (assem, ipl, latex).
 func CacheBenchmarks() []*Benchmark {
 	var out []*Benchmark
-	for _, b := range All() {
+	for _, b := range suite() {
 		if b.CacheBench {
 			out = append(out, b)
 		}

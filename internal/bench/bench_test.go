@@ -114,3 +114,18 @@ func TestCacheBenchmarksAreLarge(t *testing.T) {
 		}
 	}
 }
+
+// TestSuiteBuiltOnce pins the shared-suite contract: lookups return the
+// same *Benchmark every time, while each All() slice is the caller's
+// own, so reordering one does not leak into the next call.
+func TestSuiteBuiltOnce(t *testing.T) {
+	if a, b := ByName("latex"), ByName("latex"); a == nil || a != b {
+		t.Fatalf("ByName(latex) returned %p then %p, want one shared pointer", a, b)
+	}
+	first := All()
+	want := first[0].Name
+	first[0], first[len(first)-1] = first[len(first)-1], first[0]
+	if got := All()[0].Name; got != want {
+		t.Errorf("after reordering one All() slice the next starts with %s, want %s", got, want)
+	}
+}

@@ -3,16 +3,19 @@
 // measurement pipeline the paper's experiments are built on.
 //
 // The central type is Lab, a memoizing measurement harness: it compiles a
-// benchmark for a target configuration once, runs it once with every
-// standard observer attached (fetch-buffer models for both bus widths and
+// benchmark for a target configuration once, runs it once with the
+// standard models filled in (fetch-buffer models for both bus widths and
 // the immediate-field classifier), and caches the result, so each of the
-// paper's tables and figures re-reads the same underlying run.
+// paper's tables and figures re-reads the same underlying run. Every kind
+// of run the lab offers goes through one simulation site (run) and one
+// job-submission helper (submit).
 package core
 
 import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/bench"
@@ -46,7 +49,9 @@ type Measurement struct {
 	Output string
 	Stats  sim.Stats
 
-	// Cacheless memory-interface models (Appendix A.2).
+	// Cacheless memory-interface models (Appendix A.2). Bus32 is read
+	// off the run loop's counters (Stats.FetchWords and Loads+Stores);
+	// Bus64 observes the run.
 	Bus32 *memsys.NoCache // 32-bit fetch bus
 	Bus64 *memsys.NoCache // 64-bit fetch bus
 
@@ -215,26 +220,106 @@ func hashImage(h *jobs.Hasher, img *prog.Image) *jobs.Hasher {
 		Int(int64(img.BSS)).Bytes(img.Text).Bytes(img.Data)
 }
 
-// measureKey is the content address of one standard measurement run:
-// the program image, the run budget, and the identity labels the
-// resulting Measurement embeds.
-func measureKey(b *bench.Benchmark, spec *isa.Spec, img *prog.Image) jobs.Key {
-	h := jobs.NewHasher("measure").String(b.Name).String(spec.Name).Int(b.MaxInstrs)
-	return hashImage(h, img).Key()
+// runError is the one way a failed run reports itself: the run kind,
+// the benchmark and the configuration, wrapping the cause.
+func runError(kind string, b *bench.Benchmark, spec *isa.Spec, err error) error {
+	return fmt.Errorf("core: %s %s on %s: %w", kind, b.Name, spec, err)
 }
 
-// Measure compiles and runs one benchmark under one configuration (with
-// memoization), attaching the standard observers.
-func (l *Lab) Measure(b *bench.Benchmark, spec *isa.Spec) (*Measurement, error) {
-	t, err := l.MeasureTicket(context.Background(), b, spec)
+// submit compiles b for spec and submits one run of the given kind as a
+// job. The job's content key is the kind, the run's identity labels and
+// budget, the kind's parameters (added by params, when non-nil) and the
+// program image, so every distinct public call owns exactly one
+// result-cache entry. fn runs on a scheduler worker and its error comes
+// back wrapped by runError. try selects fail-fast backpressure (a full
+// queue returns jobs.ErrOverloaded) over blocking until space frees or
+// ctx ends.
+func (l *Lab) submit(ctx context.Context, try bool, kind string, b *bench.Benchmark, spec *isa.Spec,
+	params func(*jobs.Hasher), fn func(*mcc.Compiled) (any, error)) (*jobs.Ticket, error) {
+	c, err := l.Compile(b, spec)
 	if err != nil {
 		return nil, err
+	}
+	h := jobs.NewHasher(kind).String(b.Name).String(spec.Name).Int(b.MaxInstrs)
+	if params != nil {
+		params(h)
+	}
+	job := jobs.Job{
+		Name: kind + " " + key(b, spec),
+		Key:  hashImage(h, c.Image).Key(),
+		Fn: func(context.Context) (any, error) {
+			v, err := fn(c)
+			if err != nil {
+				return nil, runError(kind, b, spec, err)
+			}
+			return v, nil
+		},
+	}
+	if try {
+		return l.sched.TrySubmit(ctx, job)
+	}
+	return l.sched.Submit(ctx, job)
+}
+
+// await is the synchronous tail of every public run: wait for the
+// submitted ticket and assert the kind's result type.
+func await[T any](t *jobs.Ticket, err error) (T, error) {
+	var zero T
+	if err != nil {
+		return zero, err
 	}
 	v, err := t.Wait(context.Background())
 	if err != nil {
-		return nil, err
+		return zero, err
 	}
-	return v.(*Measurement), nil
+	return v.(T), nil
+}
+
+// run is core's one simulation site. It executes a compiled benchmark
+// on a pooled machine with obs attached, inside a span named after the
+// run kind with a nested "run" span around the loop itself, stops at
+// the benchmark's instruction budget, and checks the output against
+// b.Expect. It holds no lab locks: concurrent runs of distinct points
+// are the scheduler's normal mode.
+func run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, obs ...sim.Observer) (string, sim.Stats, error) {
+	id := []telemetry.Attr{telemetry.String("bench", b.Name), telemetry.String("config", spec.Name)}
+	span := telemetry.StartSpan(kind, append(id, telemetry.String("observers", strconv.Itoa(len(obs))))...)
+	defer span.End()
+	machine, err := sim.Acquire(c.Image)
+	if err != nil {
+		return "", sim.Stats{}, err
+	}
+	defer sim.Release(machine)
+	for _, o := range obs {
+		machine.Attach(o)
+	}
+	rspan := telemetry.StartSpan("run", id...)
+	err = machine.Run(b.MaxInstrs)
+	rspan.End()
+	if err != nil {
+		return "", sim.Stats{}, err
+	}
+	out := machine.Output.String()
+	if b.Expect != "" && out != b.Expect {
+		return "", sim.Stats{}, fmt.Errorf("output %q, want %q", out, b.Expect)
+	}
+	return out, machine.Stats, nil
+}
+
+// wordBus is the 4-byte cacheless bus model read off the run loop's own
+// counters instead of observed: a one-word fetch buffer requests exactly
+// the words the loop counts in FetchWords, and every load or store is
+// one data request. TestBusCounterIdentity holds it to a real
+// memsys.NoCache observer.
+func wordBus(st sim.Stats) *memsys.NoCache {
+	return &memsys.NoCache{BusBytes: 4, IRequests: st.FetchWords, DRequests: st.DataOps()}
+}
+
+// Measure compiles and runs one benchmark under one configuration (with
+// memoization). The 64-bit bus model and the immediate classifier
+// observe the run; the 32-bit bus model is read off the loop's counters.
+func (l *Lab) Measure(b *bench.Benchmark, spec *isa.Spec) (*Measurement, error) {
+	return await[*Measurement](l.MeasureTicket(context.Background(), b, spec))
 }
 
 // MeasureTicket submits the measurement as a job and returns its
@@ -252,140 +337,68 @@ func (l *Lab) TryMeasureTicket(ctx context.Context, b *bench.Benchmark, spec *is
 	return l.measureTicket(ctx, b, spec, true)
 }
 
+// measureTicket submits a measurement. Outcomes are recorded for
+// enumeration, and a failed point keeps failing without re-simulating.
 func (l *Lab) measureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec, try bool) (*jobs.Ticket, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
-	}
 	k := key(b, spec)
 	l.mu.Lock()
-	err = l.errs[k]
+	err := l.errs[k]
 	l.mu.Unlock()
 	if err != nil {
-		return nil, err
+		return nil, runError("measure", b, spec, err)
 	}
-	job := jobs.Job{
-		Name: "measure " + k,
-		Key:  measureKey(b, spec, c.Image),
-		Fn: func(context.Context) (any, error) {
-			m, err := l.runMeasure(b, spec, c)
-			l.mu.Lock()
-			if err != nil {
-				l.errs[k] = err
-			} else {
-				l.runs[k] = m
-			}
-			l.mu.Unlock()
-			if err != nil {
-				return nil, err
-			}
-			return m, nil
-		},
-	}
-	if try {
-		return l.sched.TrySubmit(ctx, job)
-	}
-	return l.sched.Submit(ctx, job)
-}
-
-// runMeasure executes one compiled benchmark with the standard
-// observers attached. It holds no lab locks: concurrent runs of
-// distinct points are the scheduler's normal mode.
-func (l *Lab) runMeasure(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled) (*Measurement, error) {
-	span := telemetry.StartSpan("measure",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	defer span.End()
-	machine, err := sim.Acquire(c.Image)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release(machine)
-	m := &Measurement{
-		Bench:        b.Name,
-		Spec:         spec,
-		Size:         c.Image.Size(),
-		TextBytes:    len(c.Image.Text),
-		DataBytes:    len(c.Image.Data),
-		PoolBytes:    c.Image.PoolBytes,
-		StaticInstrs: c.Image.TextInstrs,
-		Spills:       c.Spills,
-		Bus32:        memsys.NewNoCache(4),
-		Bus64:        memsys.NewNoCache(8),
-		Image:        c.Image,
-	}
-	machine.Attach(m.Bus32)
-	machine.Attach(m.Bus64)
-	machine.Attach(&m.Imm)
-	rspan := telemetry.StartSpan("run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	err = machine.Run(b.MaxInstrs)
-	rspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: %s on %s: %w", b.Name, spec, err)
-	}
-	m.Output = machine.Output.String()
-	m.Stats = machine.Stats
-	if b.Expect != "" && m.Output != b.Expect {
-		return nil, fmt.Errorf("core: %s on %s: output %q, want %q",
-			b.Name, spec, m.Output, b.Expect)
-	}
-	return m, nil
+	return l.submit(ctx, try, "measure", b, spec, nil, func(c *mcc.Compiled) (any, error) {
+		m := &Measurement{
+			Bench:        b.Name,
+			Spec:         spec,
+			Size:         c.Image.Size(),
+			TextBytes:    len(c.Image.Text),
+			DataBytes:    len(c.Image.Data),
+			PoolBytes:    c.Image.PoolBytes,
+			StaticInstrs: c.Image.TextInstrs,
+			Spills:       c.Spills,
+			Bus64:        memsys.NewNoCache(8),
+			Image:        c.Image,
+		}
+		var err error
+		m.Output, m.Stats, err = run("measure", b, spec, c, m.Bus64, &m.Imm)
+		l.mu.Lock()
+		defer l.mu.Unlock()
+		if err != nil {
+			l.errs[k] = err
+			return nil, err
+		}
+		m.Bus32 = wordBus(m.Stats)
+		l.runs[k] = m
+		return m, nil
+	})
 }
 
 // CacheSweep runs one benchmark under one configuration with a split I/D
 // cache system per geometry, all attached to a single execution. Results
 // are served from the scheduler's content-addressed cache, keyed by the
-// program image and the geometry set.
+// program image and every field of every geometry.
 func (l *Lab) CacheSweep(b *bench.Benchmark, spec *isa.Spec, cfgs []cache.Config) ([]*cache.System, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
-	}
-	h := jobs.NewHasher("cache-sweep").Int(b.MaxInstrs)
-	for _, cfg := range cfgs {
-		h.Int(int64(cfg.Size)).Int(int64(cfg.BlockBytes)).Int(int64(cfg.SubBytes))
-	}
-	hashImage(h, c.Image)
-	v, err := l.sched.Do(context.Background(), jobs.Job{
-		Name: "cache-sweep " + key(b, spec),
-		Key:  h.Key(),
-		Fn: func(context.Context) (any, error) {
-			return l.runCacheSweep(b, spec, c, cfgs)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*cache.System), nil
-}
-
-func (l *Lab) runCacheSweep(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, cfgs []cache.Config) ([]*cache.System, error) {
-	span := telemetry.StartSpan("cache-sweep",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name),
-		telemetry.String("geometries", fmt.Sprintf("%d", len(cfgs))))
-	defer span.End()
-	machine, err := sim.Acquire(c.Image)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release(machine)
-	var systems []*cache.System
-	for _, cfg := range cfgs {
-		sys, err := cache.NewSystem(cfg, cfg)
-		if err != nil {
-			return nil, err
+	params := func(h *jobs.Hasher) {
+		for _, cfg := range cfgs {
+			h.Int(int64(cfg.Size)).Int(int64(cfg.BlockBytes)).Int(int64(cfg.SubBytes)).Int(int64(cfg.Assoc)).
+				Bool(cfg.WriteThrough).Bool(cfg.NoWriteAllocate).Bool(cfg.NoPrefetch)
 		}
-		systems = append(systems, sys)
-		machine.Attach(sys)
 	}
-	rspan := telemetry.StartSpan("run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	err = machine.Run(b.MaxInstrs)
-	rspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: cache sweep %s on %s: %w", b.Name, spec, err)
-	}
-	return systems, nil
+	return await[[]*cache.System](l.submit(context.Background(), false, "cache-sweep", b, spec, params,
+		func(c *mcc.Compiled) (any, error) {
+			systems := make([]*cache.System, len(cfgs))
+			obs := make([]sim.Observer, len(cfgs))
+			for i, cfg := range cfgs {
+				sys, err := cache.NewSystem(cfg, cfg)
+				if err != nil {
+					return nil, err
+				}
+				systems[i], obs[i] = sys, sys
+			}
+			_, _, err := run("cache-sweep", b, spec, c, obs...)
+			return systems, err
+		}))
 }
 
 // PipelineRun executes one benchmark under the event-driven cycle-level
@@ -394,51 +407,22 @@ func (l *Lab) runCacheSweep(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled,
 // content-addressed cache; the configurations must be cacheless (a
 // pipeline.Config carrying its own cache.System is not hashable).
 func (l *Lab) PipelineRun(b *bench.Benchmark, spec *isa.Spec, cfgs []pipeline.Config) ([]*pipeline.Engine, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
+	params := func(h *jobs.Hasher) {
+		for _, cfg := range cfgs {
+			h.Int(int64(cfg.BusBytes)).Int(cfg.WaitStates).Bool(cfg.SharedPort).Int(cfg.MissPenalty)
+		}
 	}
-	h := jobs.NewHasher("pipeline-run").Int(b.MaxInstrs)
-	for _, cfg := range cfgs {
-		h.Int(int64(cfg.BusBytes)).Int(cfg.WaitStates).Bool(cfg.SharedPort).Int(cfg.MissPenalty)
-	}
-	hashImage(h, c.Image)
-	v, err := l.sched.Do(context.Background(), jobs.Job{
-		Name: "pipeline-run " + key(b, spec),
-		Key:  h.Key(),
-		Fn: func(context.Context) (any, error) {
-			return l.runPipeline(b, spec, c, cfgs)
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.([]*pipeline.Engine), nil
-}
-
-func (l *Lab) runPipeline(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, cfgs []pipeline.Config) ([]*pipeline.Engine, error) {
-	span := telemetry.StartSpan("pipeline-run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	defer span.End()
-	machine, err := sim.Acquire(c.Image)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release(machine)
-	var engines []*pipeline.Engine
-	for _, cfg := range cfgs {
-		e := pipeline.New(cfg)
-		engines = append(engines, e)
-		machine.Attach(e)
-	}
-	rspan := telemetry.StartSpan("run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	err = machine.Run(b.MaxInstrs)
-	rspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: pipeline run %s on %s: %w", b.Name, spec, err)
-	}
-	return engines, nil
+	return await[[]*pipeline.Engine](l.submit(context.Background(), false, "pipeline-run", b, spec, params,
+		func(c *mcc.Compiled) (any, error) {
+			engines := make([]*pipeline.Engine, len(cfgs))
+			obs := make([]sim.Observer, len(cfgs))
+			for i, cfg := range cfgs {
+				engines[i] = pipeline.New(cfg)
+				obs[i] = engines[i]
+			}
+			_, _, err := run("pipeline-run", b, spec, c, obs...)
+			return engines, err
+		}))
 }
 
 // AccountRun is one cycle-accounted execution: engines with per-PC
@@ -447,7 +431,7 @@ func (l *Lab) runPipeline(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, c
 // function.
 type AccountRun struct {
 	Engines []*pipeline.Engine
-	Syms    *sim.SymTable
+	Syms    *prog.SymTable
 }
 
 // Account executes one benchmark with cycle-accounting engines attached
@@ -456,77 +440,44 @@ type AccountRun struct {
 // cache, keyed by the program image and the config set; cached
 // configurations build a fresh cache.System per engine from CacheBytes.
 func (l *Lab) Account(b *bench.Benchmark, spec *isa.Spec, cfgs []AccountConfig) (*AccountRun, error) {
-	t, err := l.AccountTicket(context.Background(), b, spec, cfgs)
-	if err != nil {
-		return nil, err
-	}
-	v, err := t.Wait(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return v.(*AccountRun), nil
+	return await[*AccountRun](l.AccountTicket(context.Background(), b, spec, cfgs))
 }
 
 // AccountTicket submits the accounted run as a job and returns its
 // ticket without waiting — the fan-out form of Account, used by the
 // sweep engine for cached-memory grid cells.
 func (l *Lab) AccountTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec, cfgs []AccountConfig) (*jobs.Ticket, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
-	}
-	h := jobs.NewHasher("account-run").Int(b.MaxInstrs)
-	for _, cfg := range cfgs {
-		h.Int(int64(cfg.BusBytes)).Int(cfg.WaitStates).Bool(cfg.SharedPort).
-			Int(int64(cfg.CacheBytes)).Int(cfg.MissPenalty)
-	}
-	hashImage(h, c.Image)
-	return l.sched.Submit(ctx, jobs.Job{
-		Name: "account-run " + key(b, spec),
-		Key:  h.Key(),
-		Fn: func(context.Context) (any, error) {
-			return l.runAccount(b, spec, c, cfgs)
-		},
-	})
-}
-
-func (l *Lab) runAccount(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, cfgs []AccountConfig) (*AccountRun, error) {
-	span := telemetry.StartSpan("account-run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	defer span.End()
-	machine, err := sim.Acquire(c.Image)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release(machine)
-	run := &AccountRun{Syms: sim.NewSymTable(c.Image)}
-	for _, ac := range cfgs {
-		pc := pipeline.Config{
-			BusBytes:    ac.BusBytes,
-			WaitStates:  ac.WaitStates,
-			SharedPort:  ac.SharedPort,
-			MissPenalty: ac.MissPenalty,
+	params := func(h *jobs.Hasher) {
+		for _, cfg := range cfgs {
+			h.Int(int64(cfg.BusBytes)).Int(cfg.WaitStates).Bool(cfg.SharedPort).
+				Int(int64(cfg.CacheBytes)).Int(cfg.MissPenalty)
 		}
-		if ac.CacheBytes > 0 {
-			sys, err := cache.NewSystem(cache.PaperConfig(ac.CacheBytes), cache.PaperConfig(ac.CacheBytes))
-			if err != nil {
-				return nil, err
+	}
+	return l.submit(ctx, false, "account-run", b, spec, params, func(c *mcc.Compiled) (any, error) {
+		acct := &AccountRun{Syms: prog.NewSymTable(c.Image)}
+		obs := make([]sim.Observer, len(cfgs))
+		for i, ac := range cfgs {
+			pc := pipeline.Config{
+				BusBytes:    ac.BusBytes,
+				WaitStates:  ac.WaitStates,
+				SharedPort:  ac.SharedPort,
+				MissPenalty: ac.MissPenalty,
 			}
-			pc.Caches = sys
+			if ac.CacheBytes > 0 {
+				sys, err := cache.NewSystem(cache.PaperConfig(ac.CacheBytes), cache.PaperConfig(ac.CacheBytes))
+				if err != nil {
+					return nil, err
+				}
+				pc.Caches = sys
+			}
+			e := pipeline.New(pc)
+			e.EnablePCAccounting()
+			acct.Engines = append(acct.Engines, e)
+			obs[i] = e
 		}
-		e := pipeline.New(pc)
-		e.EnablePCAccounting()
-		run.Engines = append(run.Engines, e)
-		machine.Attach(e)
-	}
-	rspan := telemetry.StartSpan("run",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	err = machine.Run(b.MaxInstrs)
-	rspan.End()
-	if err != nil {
-		return nil, fmt.Errorf("core: account run %s on %s: %w", b.Name, spec, err)
-	}
-	return run, nil
+		_, _, err := run("account-run", b, spec, c, obs...)
+		return acct, err
+	})
 }
 
 // AccountConfig describes one accounted memory configuration by value
@@ -618,7 +569,7 @@ func (l *Lab) Summary() []SummaryRow {
 	return rows
 }
 
-// RegisterMetrics publishes the measurement's scalars and its attached
+// RegisterMetrics publishes the measurement's scalars and its
 // memory-interface models as live gauges under prefix (typically
 // "<bench>.<config>.").
 func (m *Measurement) RegisterMetrics(reg *telemetry.Registry, prefix string) {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
+	"repro/internal/sim"
 )
 
 func TestMeasureMemoizes(t *testing.T) {
@@ -93,6 +94,58 @@ func TestCacheSweepMemoizes(t *testing.T) {
 	// Larger cache, no more misses.
 	if s1[1].I.Stats.Misses() > s1[0].I.Stats.Misses() {
 		t.Error("larger cache missed more")
+	}
+}
+
+// TestCacheSweepKeyCoversGeometry checks that the cache-sweep result
+// key hashes every cache.Config field: geometry lists differing in one
+// field only are distinct runs (one result-cache miss each), and each
+// returns the statistics of a direct run of its own geometry. matrix
+// at 1 KiB is conflict-bound, so its direct-mapped and 2-way runs
+// differ.
+func TestCacheSweepKeyCoversGeometry(t *testing.T) {
+	lab := NewLab()
+	b := bench.ByName("matrix")
+	base := cache.PaperConfig(1024)
+	variants := []cache.Config{base, base, base, base, base}
+	variants[1].Assoc = 2
+	variants[2].WriteThrough = true
+	variants[3].NoWriteAllocate = true
+	variants[4].NoPrefetch = true
+	c, err := lab.Compile(b, isa.D16())
+	if err != nil {
+		t.Fatal(err)
+	}
+	misses := lab.Scheduler().Metrics().CacheMisses.Value()
+	wants := make([]*cache.System, len(variants))
+	for i, cfg := range variants {
+		got, err := lab.CacheSweep(b, isa.D16(), []cache.Config{cfg})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := cache.NewSystem(cfg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m, err := sim.New(c.Image)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Attach(want)
+		if err := m.Run(b.MaxInstrs); err != nil {
+			t.Fatal(err)
+		}
+		wants[i] = want
+		if got[0].I.Stats != want.I.Stats || got[0].D.Stats != want.D.Stats {
+			t.Errorf("variant %d (%+v): lab returned I %+v D %+v, a direct run gives I %+v D %+v",
+				i, cfg, got[0].I.Stats, got[0].D.Stats, want.I.Stats, want.D.Stats)
+		}
+	}
+	if n := lab.Scheduler().Metrics().CacheMisses.Value() - misses; n != int64(len(variants)) {
+		t.Errorf("%d result-cache misses for %d distinct geometry lists", n, len(variants))
+	}
+	if wants[0].I.Stats == wants[1].I.Stats {
+		t.Error("direct-mapped and 2-way runs agree: the test geometry does not separate them")
 	}
 }
 

@@ -76,7 +76,9 @@ func perPCDigest(e *pipeline.Engine) string {
 }
 
 // measureGoldenImage runs one compiled image once with all eight grid
-// engines attached (per-PC accounting on) and extracts the cells.
+// engines attached (per-PC accounting on) and extracts the cells. The
+// run also checks the counter-derived 4-byte bus model against real
+// bus observers.
 func measureGoldenImage(t *testing.T, b *bench.Benchmark, spec *isa.Spec) goldenImage {
 	t.Helper()
 	lab := NewLab()
@@ -95,9 +97,12 @@ func measureGoldenImage(t *testing.T, b *bench.Benchmark, spec *isa.Spec) golden
 		engines[i].EnablePCAccounting()
 		m.Attach(engines[i])
 	}
+	// The same run also feeds the bus-counter oracle (oracle_test.go).
+	oracles := attachBusOracles(m)
 	if err := m.Run(b.MaxInstrs); err != nil {
 		t.Fatalf("run %s on %s: %v", b.Name, spec.Name, err)
 	}
+	checkBusCounters(t, b.Name+" on "+spec.Name, m.Stats, oracles)
 	img := goldenImage{Bench: b.Name, Config: spec.Name}
 	for i, e := range engines {
 		bd := e.Breakdown()
@@ -131,11 +136,22 @@ func goldenSuite(t *testing.T) []*bench.Benchmark {
 }
 
 func TestGoldenCells(t *testing.T) {
-	var got []goldenImage
-	for _, b := range goldenSuite(t) {
-		for _, spec := range Configs() {
-			got = append(got, measureGoldenImage(t, b, spec))
+	benches, specs := goldenSuite(t), Configs()
+	got := make([]goldenImage, len(benches)*len(specs))
+	// Images are independent runs, so they run in parallel: under -race
+	// one at a time takes most of go test's default ten-minute budget.
+	t.Run("images", func(t *testing.T) {
+		for i, b := range benches {
+			for j, spec := range specs {
+				t.Run(b.Name+"/"+spec.Name, func(t *testing.T) {
+					t.Parallel()
+					got[i*len(specs)+j] = measureGoldenImage(t, b, spec)
+				})
+			}
 		}
+	})
+	if t.Failed() {
+		return
 	}
 
 	if *updateGolden {

@@ -7,6 +7,7 @@ import (
 	"repro/internal/mcc"
 	"repro/internal/memsys"
 	"repro/internal/pipeline"
+	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -59,36 +60,45 @@ func AccountPoint(benchName, cfgName string, c *mcc.Compiled, e *pipeline.Engine
 	return p
 }
 
-// pointWaitStates is the wait-state grid a measurement expands into —
-// the same ℓ = 0..3 range SummaryRow reports CPI over.
-const pointWaitStates = 4
+// pointWaits is the wait-state grid a measurement expands into — the
+// same ℓ = 0..3 range SummaryRow reports CPI over.
+var pointWaits = []int64{0, 1, 2, 3}
 
 // Points expands one measurement into its columnar store points: one
 // point per cacheless memory interface (32- and 64-bit fetch bus) per
-// wait-state count. The cycle attribution follows the Appendix A model
-// exactly — useful issue cycles (one per instruction), interlock stalls
-// in the load-delay bucket, and wait-state cycles split between the
-// instruction- and data-side requests — so the bucket sum reconstructs
-// Cycles() and store.Validate's invariant holds by construction.
+// wait-state count, with the Appendix A cycle attribution (see
+// appendixPoints).
 func (m *Measurement) Points() []store.Point {
-	out := make([]store.Point, 0, 2*pointWaitStates)
-	for _, bus := range []*memsys.NoCache{m.Bus32, m.Bus64} {
-		for w := int64(0); w < pointWaitStates; w++ {
-			p := store.Point{
-				Bench:        m.Bench,
-				Config:       m.Spec.Name,
-				BusBytes:     int64(bus.BusBytes),
-				WaitStates:   w,
-				Cycles:       bus.Cycles(m.Stats.Instrs, m.Stats.Interlocks, w),
-				Instrs:       m.Stats.Instrs,
-				IFetchBytes:  bus.IRequests * int64(bus.BusBytes),
-				DMemBytes:    bus.DRequests * 4,
-				SizeBytes:    int64(m.Size),
-				TextBytes:    int64(m.TextBytes),
-				StaticInstrs: int64(m.StaticInstrs),
-			}
-			p.Buckets[store.BUseful] = m.Stats.Instrs
-			p.Buckets[store.BLoadDelay] = m.Stats.Interlocks
+	return appendixPoints(store.Point{
+		Bench:        m.Bench,
+		Config:       m.Spec.Name,
+		SizeBytes:    int64(m.Size),
+		TextBytes:    int64(m.TextBytes),
+		StaticInstrs: int64(m.StaticInstrs),
+	}, m.Stats, []*memsys.NoCache{m.Bus32, m.Bus64}, pointWaits)
+}
+
+// appendixPoints is the one Appendix A expansion of a cacheless run:
+// one copy of base (which carries the identity and static measures) per
+// bus model per wait-state count, bus-major. The cycle attribution
+// follows the model exactly — useful issue cycles (one per
+// instruction), interlock stalls in the load-delay bucket, and
+// wait-state cycles split between the instruction- and data-side
+// requests — so the bucket sum reconstructs NoCache.Cycles and
+// store.Validate's invariant holds by construction.
+func appendixPoints(base store.Point, st sim.Stats, buses []*memsys.NoCache, waits []int64) []store.Point {
+	out := make([]store.Point, 0, len(buses)*len(waits))
+	for _, bus := range buses {
+		for _, w := range waits {
+			p := base
+			p.BusBytes = int64(bus.BusBytes)
+			p.WaitStates = w
+			p.Cycles = bus.Cycles(st.Instrs, st.Interlocks, w)
+			p.Instrs = st.Instrs
+			p.IFetchBytes = bus.IRequests * int64(bus.BusBytes)
+			p.DMemBytes = bus.DRequests * 4
+			p.Buckets[store.BUseful] = st.Instrs
+			p.Buckets[store.BLoadDelay] = st.Interlocks
 			p.Buckets[store.BIFetchWait] = w * bus.IRequests
 			p.Buckets[store.BDMemWait] = w * bus.DRequests
 			out = append(out, p)

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 
 	"repro/internal/bench"
 	"repro/internal/isa"
@@ -11,15 +10,15 @@ import (
 	"repro/internal/memsys"
 	"repro/internal/sim"
 	"repro/internal/store"
-	"repro/internal/telemetry"
 )
 
-// BusProfile is one execution observed through cacheless fetch-bus
-// models of several widths at once: a single simulation with one
-// NoCache observer per requested bus width, from which the closed-form
-// Appendix A model expands cycles for any wait-state count. It is the
-// sweep engine's workhorse — a B-bus × W-wait-state grid costs one run,
-// not B×W.
+// BusProfile is one execution seen through cacheless fetch-bus models
+// of several widths at once: a single simulation feeds one model per
+// requested bus width, from which the closed-form Appendix A model
+// expands cycles for any wait-state count. It is the sweep engine's
+// workhorse — a B-bus × W-wait-state grid costs one run, not B×W.
+// 4-byte models are read off the run loop's counters; other widths
+// observe the run.
 type BusProfile struct {
 	Bench  string
 	Spec   *isa.Spec
@@ -36,34 +35,15 @@ type BusProfile struct {
 
 // Points expands the profile into store points over the wait-state
 // grid: one point per (bus width, wait states), with the Appendix A
-// cycle attribution (useful issue + load-delay interlocks + wait-state
-// cycles split across the instruction and data sides), so the store's
-// sum-of-buckets == cycles invariant holds by construction.
+// cycle attribution (see appendixPoints).
 func (p *BusProfile) Points(waits []int64) []store.Point {
-	out := make([]store.Point, 0, len(p.Buses)*len(waits))
-	for _, bus := range p.Buses {
-		for _, w := range waits {
-			pt := store.Point{
-				Bench:        p.Bench,
-				Config:       p.Spec.Name,
-				BusBytes:     int64(bus.BusBytes),
-				WaitStates:   w,
-				Cycles:       bus.Cycles(p.Stats.Instrs, p.Stats.Interlocks, w),
-				Instrs:       p.Stats.Instrs,
-				IFetchBytes:  bus.IRequests * int64(bus.BusBytes),
-				DMemBytes:    bus.DRequests * 4,
-				SizeBytes:    int64(p.SizeBytes),
-				TextBytes:    int64(p.TextBytes),
-				StaticInstrs: int64(p.StaticInstrs),
-			}
-			pt.Buckets[store.BUseful] = p.Stats.Instrs
-			pt.Buckets[store.BLoadDelay] = p.Stats.Interlocks
-			pt.Buckets[store.BIFetchWait] = w * bus.IRequests
-			pt.Buckets[store.BDMemWait] = w * bus.DRequests
-			out = append(out, pt)
-		}
-	}
-	return out
+	return appendixPoints(store.Point{
+		Bench:        p.Bench,
+		Config:       p.Spec.Name,
+		SizeBytes:    int64(p.SizeBytes),
+		TextBytes:    int64(p.TextBytes),
+		StaticInstrs: int64(p.StaticInstrs),
+	}, p.Stats, p.Buses, waits)
 }
 
 // BusProfileTicket submits a bus-profile run as a job and returns its
@@ -72,67 +52,42 @@ func (p *BusProfile) Points(waits []int64) []store.Point {
 // Results are served from the scheduler's content-addressed cache,
 // keyed by the program image and the width set.
 func (l *Lab) BusProfileTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec, buses []uint32) (*jobs.Ticket, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
+	params := func(h *jobs.Hasher) {
+		for _, w := range buses {
+			h.Int(int64(w))
+		}
 	}
-	h := jobs.NewHasher("bus-profile").String(b.Name).String(spec.Name).Int(b.MaxInstrs)
-	for _, w := range buses {
-		h.Int(int64(w))
-	}
-	hashImage(h, c.Image)
-	return l.sched.Submit(ctx, jobs.Job{
-		Name: "bus-profile " + key(b, spec),
-		Key:  h.Key(),
-		Fn: func(context.Context) (any, error) {
-			return l.runBusProfile(b, spec, c, buses)
-		},
+	return l.submit(ctx, false, "bus-profile", b, spec, params, func(c *mcc.Compiled) (any, error) {
+		p := &BusProfile{
+			Bench:        b.Name,
+			Spec:         spec,
+			BusBytes:     buses,
+			Buses:        make([]*memsys.NoCache, len(buses)),
+			SizeBytes:    c.Image.Size(),
+			TextBytes:    len(c.Image.Text),
+			StaticInstrs: c.Image.TextInstrs,
+		}
+		var obs []sim.Observer
+		for i, w := range buses {
+			if w != 4 {
+				p.Buses[i] = memsys.NewNoCache(w)
+				obs = append(obs, p.Buses[i])
+			}
+		}
+		var err error
+		if p.Output, p.Stats, err = run("bus-profile", b, spec, c, obs...); err != nil {
+			return nil, err
+		}
+		for i, w := range buses {
+			if w == 4 {
+				p.Buses[i] = wordBus(p.Stats)
+			}
+		}
+		return p, nil
 	})
 }
 
 // BusProfile is the synchronous form of BusProfileTicket.
 func (l *Lab) BusProfile(b *bench.Benchmark, spec *isa.Spec, buses []uint32) (*BusProfile, error) {
-	t, err := l.BusProfileTicket(context.Background(), b, spec, buses)
-	if err != nil {
-		return nil, err
-	}
-	v, err := t.Wait(context.Background())
-	if err != nil {
-		return nil, err
-	}
-	return v.(*BusProfile), nil
-}
-
-func (l *Lab) runBusProfile(b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, buses []uint32) (*BusProfile, error) {
-	span := telemetry.StartSpan("bus-profile",
-		telemetry.String("bench", b.Name), telemetry.String("config", spec.Name))
-	defer span.End()
-	machine, err := sim.Acquire(c.Image)
-	if err != nil {
-		return nil, err
-	}
-	defer sim.Release(machine)
-	p := &BusProfile{
-		Bench:        b.Name,
-		Spec:         spec,
-		BusBytes:     buses,
-		SizeBytes:    c.Image.Size(),
-		TextBytes:    len(c.Image.Text),
-		StaticInstrs: c.Image.TextInstrs,
-	}
-	for _, w := range buses {
-		n := memsys.NewNoCache(w)
-		p.Buses = append(p.Buses, n)
-		machine.Attach(n)
-	}
-	if err := machine.Run(b.MaxInstrs); err != nil {
-		return nil, fmt.Errorf("core: bus profile %s on %s: %w", b.Name, spec, err)
-	}
-	p.Output = machine.Output.String()
-	p.Stats = machine.Stats
-	if b.Expect != "" && p.Output != b.Expect {
-		return nil, fmt.Errorf("core: bus profile %s on %s: output %q, want %q",
-			b.Name, spec, p.Output, b.Expect)
-	}
-	return p, nil
+	return await[*BusProfile](l.BusProfileTicket(context.Background(), b, spec, buses))
 }

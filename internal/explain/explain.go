@@ -24,7 +24,6 @@ import (
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
-	"repro/internal/sim"
 	"repro/internal/store"
 )
 
@@ -514,7 +513,7 @@ func stallOf(bd pipeline.Breakdown) (total, stall int64, cause string) {
 // heatRows ranks the engine's per-PC rows by stall cycles and renders
 // the top rows as the heatmap (bar lengths proportional to the worst
 // row).
-func heatRows(e *pipeline.Engine, st *sim.SymTable, rows int) []HeatRow {
+func heatRows(e *pipeline.Engine, st *prog.SymTable, rows int) []HeatRow {
 	type hr struct {
 		pc           uint32
 		total, stall int64
@@ -561,7 +560,7 @@ func heatRows(e *pipeline.Engine, st *sim.SymTable, rows int) []HeatRow {
 // hottestShared picks the function to disassemble: the one with the
 // largest combined cycle total across both sides, preferring functions
 // present on both (ties by name).
-func hottestShared(eA *pipeline.Engine, stA *sim.SymTable, eB *pipeline.Engine, stB *sim.SymTable) string {
+func hottestShared(eA *pipeline.Engine, stA *prog.SymTable, eB *pipeline.Engine, stB *prog.SymTable) string {
 	cycles := map[string]int64{}
 	shared := map[string]int{}
 	var names []string
@@ -641,7 +640,7 @@ func disLines(img *prog.Image, e *pipeline.Engine, name string) []DisLine {
 
 // funcRange computes [start, end) of a text symbol from the image's
 // symbol map: end is the next non-dot text symbol (the same symbols
-// sim.SymTable indexes) or the end of text.
+// prog.SymTable indexes) or the end of text.
 func funcRange(img *prog.Image, name string) (start, end uint32, ok bool) {
 	start, ok = img.Symbols[name]
 	if !ok || start < isa.TextBase || start >= img.TextEnd() {

@@ -55,22 +55,6 @@ import (
 	"repro/internal/telemetry"
 )
 
-// FPU result latencies in cycles (a result produced at cycle t is usable
-// by an instruction issuing at t+latency). Ordinary operations have
-// latency 1; loads have 2 (the one-cycle delay slot). The constants
-// live in isa (shared with the timing models and the static analyzer);
-// these aliases keep the historical sim.Lat* names working.
-const (
-	LatNormal  = isa.LatNormal
-	LatLoad    = isa.LatLoad
-	LatFAdd    = isa.LatFAdd
-	LatFMul    = isa.LatFMul
-	LatFDivS   = isa.LatFDivS
-	LatFDivD   = isa.LatFDivD
-	LatFCmp    = isa.LatFCmp
-	LatConvert = isa.LatConvert
-)
-
 // Stats accumulates the dynamic measures of one run.
 type Stats struct {
 	Instrs     int64 // path length (includes delay-slot instructions)
@@ -392,7 +376,7 @@ func (m *Machine) Run(maxInstrs int64) error {
 		interlocks += issue - t
 		t = issue + 1
 		if op.Flags&decode.FFCmp != 0 {
-			fpsrReady = issue + LatFCmp
+			fpsrReady = issue + isa.LatFCmp
 		}
 		if op.Def != decode.None {
 			m.ready[op.Def] = issue + int64(op.Lat)

@@ -22,7 +22,7 @@ import (
 // register jumps through the link register. The delay-slot instruction
 // after either event is attributed to the function that contains it.
 type Profile struct {
-	tab    *SymTable
+	tab    *prog.SymTable
 	counts []int64
 	total  int64
 
@@ -42,10 +42,10 @@ type Profile struct {
 type edgeKey struct{ caller, callee int }
 
 // NewProfile builds a profiler over an image's text symbols, with the
-// filtering and deterministic ordering SymTable guarantees.
+// filtering and deterministic ordering prog.SymTable guarantees.
 func NewProfile(img *prog.Image) *Profile {
 	p := &Profile{
-		tab:    NewSymTable(img),
+		tab:    prog.NewSymTable(img),
 		folded: map[string]int64{},
 		edges:  map[edgeKey]int64{},
 	}

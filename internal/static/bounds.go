@@ -2,7 +2,6 @@ package static
 
 import (
 	"repro/internal/isa"
-	"repro/internal/pipeline"
 	"repro/internal/verify"
 )
 
@@ -38,7 +37,7 @@ func instrWorst(op isa.Op, w int64) int64 {
 	if op.IsLoad() || op.IsStore() {
 		return c + w + 1
 	}
-	if lat := pipeline.ResultLatency(op); lat > 1 {
+	if lat := isa.ResultLatency(op); lat > 1 {
 		c += lat - 1
 	}
 	return c
