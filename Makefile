@@ -148,14 +148,15 @@ serve-smoke: $(BIN)/simd
 bench: $(BIN)/perfgate
 	$(BIN)/perfgate
 
-# Bench smoke: single-iteration pass over the simulator microbenches in
-# a scratch dir (no BENCH file at the repo root, no baseline compare).
-# Numbers are noise at 1x; the point is exercising the harness plus
-# sim/step's absolute allocs-per-instruction budget on every check.
+# Bench smoke: single-iteration pass over the simulator and cache-sweep
+# microbenches in a scratch dir (no BENCH file at the repo root, no
+# baseline compare). Numbers are noise at 1x; the point is exercising
+# the harness, the devirtualized cache path, and sim/step's absolute
+# allocs-per-instruction budget on every check.
 bench-smoke: $(BIN)/perfgate
 	rm -rf $(TMP)/bench-smoke && mkdir -p $(TMP)/bench-smoke
-	$(BIN)/perfgate -dir $(TMP)/bench-smoke -benchtime 1x -bench 'sim/'
-	@echo "bench smoke ok: sim microbenches ran, alloc budget held"
+	$(BIN)/perfgate -dir $(TMP)/bench-smoke -benchtime 1x -bench 'sim/|cache/'
+	@echo "bench smoke ok: sim and cache microbenches ran, alloc budget held"
 
 clean:
 	rm -rf $(TMP) /tmp/repro-smoke

@@ -34,6 +34,7 @@ import (
 	"time"
 
 	"repro/internal/bench"
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/experiments"
 	"repro/internal/isa"
@@ -124,6 +125,13 @@ func main() {
 	}
 	if sel.MatchString("sim/step") {
 		r, err := benchSimStep()
+		if err != nil {
+			fatal(err)
+		}
+		cur.Benchmarks = append(cur.Benchmarks, r)
+	}
+	if sel.MatchString("cache/sweep") {
+		r, err := benchCacheSweep()
 		if err != nil {
 			fatal(err)
 		}
@@ -241,42 +249,68 @@ func benchSuiteFig4(name string, workers int) (Result, error) {
 	})
 }
 
-// benchSimThroughput measures raw simulator speed — simulated
-// instructions per wall-clock second — on a compute-bound benchmark,
-// compiled once outside the timed region.
-func benchSimThroughput() (Result, error) {
+// benchQueens times whole runs of the compute-bound queens benchmark on
+// D16, compiled once outside the timed region: each iteration takes a
+// machine (from the pool, or freshly built when pooled is false),
+// attaches attach's observers and runs to completion. It reports
+// simulated instructions per wall-clock second and returns the path
+// length of one run.
+func benchQueens(name string, pooled bool, attach func(*sim.Machine) error) (Result, float64, error) {
 	prog := bench.ByName("queens")
 	if prog == nil {
-		return Result{}, fmt.Errorf("sim/throughput: benchmark queens missing")
+		return Result{}, 0, fmt.Errorf("%s: benchmark queens missing", name)
 	}
 	c, err := mcc.Compile(prog.Name+".mc", prog.Source, isa.D16())
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
 	var instrs, iters int64
-	r, err := run("sim/throughput", func(b *testing.B) {
+	r, err := run(name, func(b *testing.B) {
 		b.ReportAllocs()
 		instrs, iters = 0, int64(b.N)
 		for i := 0; i < b.N; i++ {
-			m, err := sim.Acquire(c.Image)
+			var m *sim.Machine
+			var err error
+			if pooled {
+				m, err = sim.Acquire(c.Image)
+			} else {
+				m, err = sim.New(c.Image)
+			}
 			if err != nil {
 				b.Fatal(err)
+			}
+			if attach != nil {
+				if err := attach(m); err != nil {
+					b.Fatal(err)
+				}
 			}
 			if err := m.Run(prog.MaxInstrs); err != nil {
 				b.Fatal(err)
 			}
 			instrs += m.Stats.Instrs
-			sim.Release(m)
+			if pooled {
+				sim.Release(m)
+			}
 		}
 	})
 	if err != nil {
-		return Result{}, err
+		return Result{}, 0, err
 	}
-	if iters > 0 && r.NsPerOp > 0 {
-		perIter := float64(instrs) / float64(iters)
-		r.InstrsPerSec = perIter * 1e9 / r.NsPerOp
+	var perIter float64
+	if iters > 0 {
+		perIter = float64(instrs) / float64(iters)
+		if r.NsPerOp > 0 {
+			r.InstrsPerSec = perIter * 1e9 / r.NsPerOp
+		}
 	}
-	return r, nil
+	return r, perIter, nil
+}
+
+// benchSimThroughput measures raw simulator speed — simulated
+// instructions per wall-clock second — with no observer attached.
+func benchSimThroughput() (Result, error) {
+	r, _, err := benchQueens("sim/throughput", true, nil)
+	return r, err
 }
 
 // maxAllocsPerInstr is sim/step's absolute allocation budget: the
@@ -294,48 +328,39 @@ const maxAllocsPerInstr = 0.1
 // budget here is absolute: exceeding it fails the run even with no
 // baseline to compare against.
 func benchSimStep() (Result, error) {
-	prog := bench.ByName("queens")
-	if prog == nil {
-		return Result{}, fmt.Errorf("sim/step: benchmark queens missing")
-	}
-	c, err := mcc.Compile(prog.Name+".mc", prog.Source, isa.D16())
-	if err != nil {
-		return Result{}, err
-	}
-	var instrs, iters int64
-	r, err := run("sim/step", func(b *testing.B) {
-		b.ReportAllocs()
-		instrs, iters = 0, int64(b.N)
-		for i := 0; i < b.N; i++ {
-			m, err := sim.Acquire(c.Image)
-			if err != nil {
-				b.Fatal(err)
-			}
-			m.Attach(pipeline.New(pipeline.Config{BusBytes: 4, WaitStates: 1}))
-			if err := m.Run(prog.MaxInstrs); err != nil {
-				b.Fatal(err)
-			}
-			instrs += m.Stats.Instrs
-			sim.Release(m)
-		}
+	r, perIter, err := benchQueens("sim/step", true, func(m *sim.Machine) error {
+		m.Attach(pipeline.New(pipeline.Config{BusBytes: 4, WaitStates: 1}))
+		return nil
 	})
 	if err != nil {
 		return Result{}, err
 	}
-	if iters > 0 {
-		perIter := float64(instrs) / float64(iters)
-		if r.NsPerOp > 0 {
-			r.InstrsPerSec = perIter * 1e9 / r.NsPerOp
-		}
-		if perIter > 0 {
-			r.AllocsPerInstr = r.AllocsPerOp / perIter
-		}
+	if perIter > 0 {
+		r.AllocsPerInstr = r.AllocsPerOp / perIter
 	}
 	if r.AllocsPerInstr >= maxAllocsPerInstr {
 		return Result{}, fmt.Errorf("sim/step: %.4f allocations per simulated instruction, absolute budget is %.2f",
 			r.AllocsPerInstr, maxAllocsPerInstr)
 	}
 	return r, nil
+}
+
+// benchCacheSweep measures simulator throughput with the paper's five
+// Section 4.1 cache systems (1K to 16K, PaperConfig) attached to one
+// run, the shape of every cache-sweep point: the machine calls the
+// systems directly, and each probe goes through the flat cache kernel.
+func benchCacheSweep() (Result, error) {
+	r, _, err := benchQueens("cache/sweep", true, func(m *sim.Machine) error {
+		for size := uint32(1024); size <= 16384; size *= 2 {
+			sys, err := cache.NewSystem(cache.PaperConfig(size), cache.PaperConfig(size))
+			if err != nil {
+				return err
+			}
+			m.Attach(sys)
+		}
+		return nil
+	})
+	return r, err
 }
 
 // benchPipeThroughput measures simulator throughput with the
@@ -345,37 +370,12 @@ func benchSimStep() (Result, error) {
 // engine's charge path, and this benchmark fails the gate if a change
 // makes the disabled recorder cost more than 2% of engine throughput.
 func benchPipeThroughput() (Result, error) {
-	prog := bench.ByName("queens")
-	if prog == nil {
-		return Result{}, fmt.Errorf("pipe/throughput: benchmark queens missing")
-	}
-	c, err := mcc.Compile(prog.Name+".mc", prog.Source, isa.D16())
-	if err != nil {
-		return Result{}, err
-	}
-	var instrs, iters int64
-	r, err := run("pipe/throughput", func(b *testing.B) {
-		b.ReportAllocs()
-		instrs, iters = 0, int64(b.N)
-		for i := 0; i < b.N; i++ {
-			m, err := sim.New(c.Image)
-			if err != nil {
-				b.Fatal(err)
-			}
-			eng := pipeline.New(pipeline.Config{BusBytes: 4, WaitStates: 1})
-			m.Attach(eng)
-			if err := m.Run(prog.MaxInstrs); err != nil {
-				b.Fatal(err)
-			}
-			instrs += m.Stats.Instrs
-		}
+	r, _, err := benchQueens("pipe/throughput", false, func(m *sim.Machine) error {
+		m.Attach(pipeline.New(pipeline.Config{BusBytes: 4, WaitStates: 1}))
+		return nil
 	})
 	if err != nil {
 		return Result{}, err
-	}
-	if iters > 0 && r.NsPerOp > 0 {
-		perIter := float64(instrs) / float64(iters)
-		r.InstrsPerSec = perIter * 1e9 / r.NsPerOp
 	}
 	r.GateThreshold = 0.02
 	return r, nil

@@ -5,10 +5,18 @@
 // prefetch on writes. Validity is tracked per sub-block; a tag match with
 // an invalid sub-block is still a miss (a sub-block fetch), as in dinero's
 // sub-block mode.
+//
+// The kernel is flat, because a cache sweep probes several caches per
+// simulated instruction: each cache keeps its tags, LRU stamps and
+// per-sub-block valid and dirty bits in four contiguous arrays indexed
+// by line, and locates an address with shifts and masks (every
+// geometry is a power of two). TestFlatMatchesReference holds the
+// kernel to the original line-per-struct model, access by access.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/telemetry"
 )
@@ -114,22 +122,37 @@ func (s *Stats) Register(reg *telemetry.Registry, prefix string) {
 	reg.RegisterFunc(prefix+"misses", s.Misses)
 }
 
-type line struct {
-	tag   uint32
-	valid []bool // per sub-block
-	dirty []bool
-	inUse bool
-	lru   int64
-}
-
 // Cache is one simulated cache.
+//
+// Its state is flat: line l (way w of set s is line s*Assoc+w) owns
+// tags[l], lru[l], and words consecutive bitset words of valid and of
+// dirty starting at l*words, one bit per sub-block. tags[l] is the
+// line's tag with the inUse bit set, or 0 for a line not in use, so a
+// lookup is one compare; lru[l] is the tick of the line's last access.
+// Every geometry is a validated power of two (and so is the set count,
+// since the associativity divides the block count), so an address
+// splits into sub-block, set and tag with shifts and masks.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	subPer   uint32 // sub-blocks per block
-	setCount uint32
-	tick     int64
-	Stats    Stats
+	cfg Config
+
+	// Shift counts are at most 31 (Size is a uint32 power of two); the
+	// shifts mask them with &31 so each compiles to one instruction.
+	subShift  uint32 // log2(SubBytes)
+	subMask   uint32 // sub-blocks per block - 1
+	setShift  uint32 // log2(BlockBytes)
+	setMask   uint32 // sets - 1
+	tagShift  uint32 // log2(BlockBytes * sets) = log2(Size / Assoc)
+	assoc     int
+	words     int   // bitset words per line
+	xferWords int64 // 32-bit words moved per sub-block transfer
+
+	tags  []uint64
+	lru   []int64
+	valid []uint64
+	dirty []uint64
+
+	tick  int64
+	Stats Stats
 }
 
 // New builds a cache; the configuration must validate.
@@ -137,23 +160,32 @@ func New(cfg Config) (*Cache, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	setCount := cfg.Size / cfg.BlockBytes / cfg.Assoc
-	c := &Cache{
-		cfg:      cfg,
-		subPer:   cfg.BlockBytes / cfg.SubBytes,
-		setCount: setCount,
-		sets:     make([][]line, setCount),
-	}
-	for i := range c.sets {
-		ways := make([]line, cfg.Assoc)
-		for w := range ways {
-			ways[w].valid = make([]bool, c.subPer)
-			ways[w].dirty = make([]bool, c.subPer)
-		}
-		c.sets[i] = ways
-	}
-	return c, nil
+	sets := cfg.Size / cfg.BlockBytes / cfg.Assoc
+	subPer := cfg.BlockBytes / cfg.SubBytes
+	lines := int(sets * cfg.Assoc)
+	words := int(subPer+63) / 64
+	return &Cache{
+		cfg:       cfg,
+		subShift:  log2(cfg.SubBytes),
+		subMask:   subPer - 1,
+		setShift:  log2(cfg.BlockBytes),
+		setMask:   sets - 1,
+		tagShift:  log2(cfg.BlockBytes) + log2(sets),
+		assoc:     int(cfg.Assoc),
+		words:     words,
+		xferWords: int64(cfg.SubBytes / 4),
+		tags:      make([]uint64, lines),
+		lru:       make([]int64, lines),
+		valid:     make([]uint64, lines*words),
+		dirty:     make([]uint64, lines*words),
+	}, nil
 }
+
+// inUse marks a tags entry as holding a line.
+const inUse = 1 << 32
+
+// log2 returns the exponent of a power of two.
+func log2(v uint32) uint32 { return uint32(bits.TrailingZeros32(v)) }
 
 // MustNew is New for static configurations known to be valid.
 func MustNew(cfg Config) *Cache {
@@ -167,140 +199,148 @@ func MustNew(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-func (c *Cache) locate(addr uint32) (set uint32, tag uint32, sub uint32) {
-	block := addr / c.cfg.BlockBytes
-	return block % c.setCount, block / c.setCount, addr % c.cfg.BlockBytes / c.cfg.SubBytes
+// locate splits an address into its set, its tags entry (the tag with
+// the inUse bit) and its sub-block within the block.
+func (c *Cache) locate(addr uint32) (set uint32, key uint64, sub uint32) {
+	return addr >> (c.setShift & 31) & c.setMask, uint64(addr>>(c.tagShift&31)) | inUse,
+		addr >> (c.subShift & 31) & c.subMask
 }
 
-// findWay returns the way holding the tag, or -1.
-func (c *Cache) findWay(set, tag uint32) int {
-	for w := range c.sets[set] {
-		ln := &c.sets[set][w]
-		if ln.inUse && ln.tag == tag {
-			return w
+// findLine returns the line of set whose tags entry is key, or -1.
+func (c *Cache) findLine(set uint32, key uint64) int {
+	first := int(set) * c.assoc
+	for l := first; l < first+c.assoc; l++ {
+		if c.tags[l] == key {
+			return l
 		}
 	}
 	return -1
 }
 
-// victim returns the way to replace in a set (LRU; trivially way 0 when
+// victim returns the line to replace in a set: the first line not in
+// use, else the least recently used (trivially the only line when
 // direct-mapped).
 func (c *Cache) victim(set uint32) int {
-	best, bestLRU := 0, int64(1)<<62
-	for w := range c.sets[set] {
-		ln := &c.sets[set][w]
-		if !ln.inUse {
-			return w
+	first := int(set) * c.assoc
+	best, bestLRU := first, int64(1)<<62
+	for l := first; l < first+c.assoc; l++ {
+		if c.tags[l] == 0 {
+			return l
 		}
-		if ln.lru < bestLRU {
-			best, bestLRU = w, ln.lru
+		if c.lru[l] < bestLRU {
+			best, bestLRU = l, c.lru[l]
 		}
 	}
 	return best
 }
 
+// bit returns the bitset word index and mask of sub-block sub of line l.
+func (c *Cache) bit(l int, sub uint32) (int, uint64) {
+	return l*c.words + int(sub>>6), 1 << (sub & 63)
+}
+
 // evict writes back dirty sub-blocks of a line about to be replaced.
-func (c *Cache) evict(ln *line) {
+func (c *Cache) evict(l int) {
 	if c.cfg.WriteThrough {
 		return
 	}
-	for i, d := range ln.dirty {
-		if d {
-			c.Stats.MemWriteWords += int64(c.cfg.SubBytes / 4)
-			ln.dirty[i] = false
-		}
+	dirty := c.dirty[l*c.words : (l+1)*c.words]
+	for i, d := range dirty {
+		c.Stats.MemWriteWords += int64(bits.OnesCount64(d)) * c.xferWords
+		dirty[i] = 0
 	}
 }
 
 // Read simulates a read access (instruction fetch or data load) and
-// reports whether it missed.
+// reports whether it missed. The hit path is inline here; only a miss
+// makes a further call.
 func (c *Cache) Read(addr uint32) bool {
 	c.tick++
 	c.Stats.Reads++
-	set, tag, sub := c.locate(addr)
-	w := c.findWay(set, tag)
-	if w >= 0 && c.sets[set][w].valid[sub] {
-		c.sets[set][w].lru = c.tick
-		return false
+	set, key, sub := c.locate(addr)
+	l := c.findLine(set, key)
+	if l >= 0 {
+		if i, m := c.bit(l, sub); c.valid[i]&m != 0 {
+			c.lru[l] = c.tick
+			return false
+		}
 	}
+	c.readMiss(set, key, sub, l)
+	return true
+}
+
+// readMiss fills sub-block sub of the line for (set, key) after a read
+// miss and prefetches the next sub-block; l is the line holding the key
+// already, or -1.
+func (c *Cache) readMiss(set uint32, key uint64, sub uint32, l int) {
 	c.Stats.ReadMisses++
-	ln := c.fill(set, tag, w)
-	ln.valid[sub] = true
-	c.Stats.MemReadWords += int64(c.cfg.SubBytes / 4)
+	l = c.fill(set, key, l)
+	i, m := c.bit(l, sub)
+	c.valid[i] |= m
+	c.Stats.MemReadWords += c.xferWords
 	if !c.cfg.NoPrefetch {
 		// Wrap-around prefetch: also fetch the next sub-block, wrapping
 		// within the block.
-		nxt := (sub + 1) % c.subPer
-		if !ln.valid[nxt] {
-			ln.valid[nxt] = true
-			c.Stats.MemReadWords += int64(c.cfg.SubBytes / 4)
+		if i, m := c.bit(l, (sub+1)&c.subMask); c.valid[i]&m == 0 {
+			c.valid[i] |= m
+			c.Stats.MemReadWords += c.xferWords
 		}
 	}
-	return true
 }
 
 // Write simulates a write access and reports whether it missed.
 func (c *Cache) Write(addr uint32) bool {
 	c.tick++
 	c.Stats.Writes++
-	set, tag, sub := c.locate(addr)
-	w := c.findWay(set, tag)
-	hit := w >= 0 && c.sets[set][w].valid[sub]
-	if hit {
-		ln := &c.sets[set][w]
-		ln.lru = c.tick
-		if c.cfg.WriteThrough {
-			c.Stats.MemWriteWords += int64(c.cfg.SubBytes / 4)
-		} else {
-			ln.dirty[sub] = true
+	set, key, sub := c.locate(addr)
+	l := c.findLine(set, key)
+	if l >= 0 {
+		if i, m := c.bit(l, sub); c.valid[i]&m != 0 {
+			c.lru[l] = c.tick
+			if c.cfg.WriteThrough {
+				c.Stats.MemWriteWords += c.xferWords
+			} else {
+				c.dirty[i] |= m
+			}
+			return false
 		}
-		return false
 	}
 	c.Stats.WriteMisses++
 	if c.cfg.NoWriteAllocate {
-		c.Stats.MemWriteWords += int64(c.cfg.SubBytes / 4)
+		c.Stats.MemWriteWords += c.xferWords
 		return true
 	}
-	ln := c.fill(set, tag, w)
-	ln.valid[sub] = true
-	c.Stats.MemReadWords += int64(c.cfg.SubBytes / 4) // no prefetch on write
+	l = c.fill(set, key, l)
+	i, m := c.bit(l, sub)
+	c.valid[i] |= m
+	c.Stats.MemReadWords += c.xferWords // no prefetch on write
 	if c.cfg.WriteThrough {
-		c.Stats.MemWriteWords += int64(c.cfg.SubBytes / 4)
+		c.Stats.MemWriteWords += c.xferWords
 	} else {
-		ln.dirty[sub] = true
+		c.dirty[i] |= m
 	}
 	return true
 }
 
-// fill ensures a line for (set, tag) exists and returns it; w is the way
-// holding the tag already, or -1 to allocate.
-func (c *Cache) fill(set, tag uint32, w int) *line {
-	if w < 0 {
-		w = c.victim(set)
-		ln := &c.sets[set][w]
-		c.evict(ln)
-		ln.tag = tag
-		ln.inUse = true
-		for i := range ln.valid {
-			ln.valid[i] = false
-		}
+// fill ensures a line for (set, key) exists and returns it; l is the
+// line holding the key already, or -1 to allocate.
+func (c *Cache) fill(set uint32, key uint64, l int) int {
+	if l < 0 {
+		l = c.victim(set)
+		c.evict(l)
+		c.tags[l] = key
+		clear(c.valid[l*c.words : (l+1)*c.words])
 	}
-	ln := &c.sets[set][w]
-	ln.lru = c.tick
-	return ln
+	c.lru[l] = c.tick
+	return l
 }
 
 // Flush invalidates everything (writing back dirty data) — used between
 // measurement phases.
 func (c *Cache) Flush() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			ln := &c.sets[s][w]
-			c.evict(ln)
-			ln.inUse = false
-			for i := range ln.valid {
-				ln.valid[i] = false
-			}
-		}
+	for l := range c.tags {
+		c.evict(l)
+		c.tags[l] = 0
 	}
+	clear(c.valid)
 }

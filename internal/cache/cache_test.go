@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -185,4 +186,118 @@ func TestAccountingInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// refGrid returns every Validate-accepted geometry with a size in sizes,
+// blocks and sub-blocks of any power of two up to 512 bytes (so up to
+// 512 sub-blocks per block), associativity 1, 2 or 4, and every
+// combination of the three policy flags.
+func refGrid(sizes []uint32) []Config {
+	var out []Config
+	for _, size := range sizes {
+		for block := uint32(1); block <= 512; block *= 2 {
+			for sub := uint32(1); sub <= block; sub *= 2 {
+				for _, assoc := range []uint32{1, 2, 4} {
+					for flags := 0; flags < 8; flags++ {
+						cfg := Config{Size: size, BlockBytes: block, SubBytes: sub, Assoc: assoc,
+							WriteThrough: flags&1 != 0, NoWriteAllocate: flags&2 != 0, NoPrefetch: flags&4 != 0}
+						if cfg.Validate() == nil {
+							out = append(out, cfg)
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestFlatMatchesReference drives the flat kernel and the pre-flat
+// reference (ref_test.go) with the same seeded stream of reads, writes
+// and flushes over every geometry of refGrid, comparing the miss result
+// and the statistics after every access. The stream mixes short strides
+// (repeated reads of one sub-block), jumps within a region a few times
+// the cache size (conflicts and LRU replacement) and rare addresses
+// anywhere in the 32-bit space (tags of every width).
+func TestFlatMatchesReference(t *testing.T) {
+	sizes := []uint32{64, 512, 4096}
+	n := 1500
+	if testing.Short() {
+		sizes, n = []uint32{512}, 500
+	}
+	grid := refGrid(sizes)
+	var wide bool
+	for _, cfg := range grid {
+		wide = wide || cfg.BlockBytes/cfg.SubBytes > 64
+	}
+	if !wide {
+		t.Fatal("grid has no geometry with more than 64 sub-blocks per block")
+	}
+	for gi, cfg := range grid {
+		flat, ref := MustNew(cfg), must(newRef(cfg))
+		rng := rand.New(rand.NewSource(int64(gi)))
+		addr := uint32(0x1000)
+		for i := 0; i < n; i++ {
+			switch r := rng.Intn(100); {
+			case r < 60:
+				addr += uint32(rng.Intn(5))
+			case r < 95:
+				addr = 0x1000 + uint32(rng.Intn(int(4*cfg.Size)))
+			default:
+				addr = rng.Uint32()
+			}
+			var op string
+			var gotMiss, wantMiss bool
+			switch r := rng.Intn(1000); {
+			case r < 2:
+				op = "flush"
+				flat.Flush()
+				ref.Flush()
+			case r < 250:
+				op = "write"
+				gotMiss, wantMiss = flat.Write(addr), ref.Write(addr)
+			default:
+				op = "read"
+				gotMiss, wantMiss = flat.Read(addr), ref.Read(addr)
+			}
+			if gotMiss != wantMiss || flat.Stats != ref.Stats {
+				t.Fatalf("%+v: access %d (%s %#x): miss %v, stats %+v; reference miss %v, stats %+v",
+					cfg, i, op, addr, gotMiss, flat.Stats, wantMiss, ref.Stats)
+			}
+			if i%100 == 99 || i == n-1 {
+				if d := lineDiff(flat, ref); d != "" {
+					t.Fatalf("%+v: after access %d (%s %#x): %s", cfg, i, op, addr, d)
+				}
+			}
+		}
+	}
+	t.Logf("%d geometries, %d accesses each", len(grid), n)
+}
+
+// lineDiff compares every line's tag, LRU stamp and per-sub-block
+// valid and dirty state; "" means identical.
+func lineDiff(c *Cache, r *refCache) string {
+	for set := range r.sets {
+		for w := range r.sets[set] {
+			rl, l := &r.sets[set][w], set*c.assoc+w
+			if used := c.tags[l] != 0; used != rl.inUse || used && (c.lru[l] != rl.lru || c.tags[l] != uint64(rl.tag)|inUse) {
+				return fmt.Sprintf("set %d way %d: tags entry %#x lru %d, reference in use %v tag %#x lru %d",
+					set, w, c.tags[l], c.lru[l], rl.inUse, rl.tag, rl.lru)
+			}
+			for sub := range rl.valid {
+				i, m := c.bit(l, uint32(sub))
+				if c.valid[i]&m != 0 != rl.valid[sub] || c.dirty[i]&m != 0 != rl.dirty[sub] {
+					return fmt.Sprintf("set %d way %d sub-block %d: valid/dirty differ", set, w, sub)
+				}
+			}
+		}
+	}
+	return ""
+}
+
+func must(c *refCache, err error) *refCache {
+	if err != nil {
+		panic(err)
+	}
+	return c
 }

@@ -7,7 +7,9 @@ import (
 
 // System is a split instruction/data cache pair attached to a simulated
 // machine as an observer (Section 4.1's configuration: separate on-chip
-// direct-mapped instruction and data caches).
+// direct-mapped instruction and data caches). The machine recognizes a
+// *System when it is attached and calls its methods directly rather
+// than through the observer interface.
 type System struct {
 	I *Cache
 	D *Cache

@@ -5,10 +5,11 @@
 // The central type is Lab, a memoizing measurement harness: it compiles a
 // benchmark for a target configuration once, runs it once with the
 // standard models filled in (fetch-buffer models for both bus widths and
-// the immediate-field classifier), and caches the result, so each of the
-// paper's tables and figures re-reads the same underlying run. Every kind
-// of run the lab offers goes through one simulation site (run) and one
-// job-submission helper (submit).
+// the immediate-field classifier, all read off the run loop's counters),
+// and caches the result, so each of the paper's tables and figures
+// re-reads the same underlying run. Every kind of run the lab offers
+// goes through one simulation site (run) and one job-submission helper
+// (submit).
 package core
 
 import (
@@ -49,13 +50,13 @@ type Measurement struct {
 	Output string
 	Stats  sim.Stats
 
-	// Cacheless memory-interface models (Appendix A.2). Bus32 is read
-	// off the run loop's counters (Stats.FetchWords and Loads+Stores);
-	// Bus64 observes the run.
+	// Cacheless memory-interface models (Appendix A.2), read off the
+	// run loop's fetch-block counters and Loads+Stores (see loopBus).
 	Bus32 *memsys.NoCache // 32-bit fetch bus
 	Bus64 *memsys.NoCache // 64-bit fetch bus
 
-	// Immediate-field classification (Table 4).
+	// Immediate-field classification (Table 4), from the run's
+	// per-instruction execution counts (see execImm).
 	Imm ImmStats
 
 	Image *prog.Image
@@ -89,7 +90,8 @@ type ImmStats struct {
 	FarCalls int64 // J-type calls/jumps (D16 uses a pool load + register jump)
 }
 
-// Exec implements sim.Observer.
+// Exec implements sim.Observer: it classifies one executed instruction
+// by the Table 4 rule, the one source execImm also counts with.
 func (s *ImmStats) Exec(pc uint32, in isa.Instr) {
 	s.Total++
 	switch {
@@ -116,6 +118,31 @@ func (s *ImmStats) Exec(pc uint32, in isa.Instr) {
 	case (in.Op == isa.J || in.Op == isa.JL) && in.HasImm:
 		s.FarCalls++
 	}
+}
+
+// addTimes adds n times o's counts to s.
+func (s *ImmStats) addTimes(o *ImmStats, n int64) {
+	s.Total += n * o.Total
+	s.CmpImm += n * o.CmpImm
+	s.CmpImm8 += n * o.CmpImm8
+	s.WideALU += n * o.WideALU
+	s.WideMem += n * o.WideMem
+	s.WideMVI += n * o.WideMVI
+	s.FarCalls += n * o.FarCalls
+}
+
+// execImm is the Table 4 classification of a finished counting run
+// (sim.Machine.CountExecs): each executed instruction classified once
+// by Exec and weighted by its execution count. TestBusCounterIdentity
+// holds it to an attached ImmStats observer.
+func execImm(m *sim.Machine) ImmStats {
+	var s ImmStats
+	m.ExecCounts(func(in isa.Instr, n int64) {
+		var one ImmStats
+		one.Exec(0, in)
+		s.addTimes(&one, n)
+	})
+	return s
 }
 
 // Load implements sim.Observer.
@@ -279,9 +306,10 @@ func await[T any](t *jobs.Ticket, err error) (T, error) {
 // on a pooled machine with obs attached, inside a span named after the
 // run kind with a nested "run" span around the loop itself, stops at
 // the benchmark's instruction budget, and checks the output against
-// b.Expect. It holds no lab locks: concurrent runs of distinct points
-// are the scheduler's normal mode.
-func run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, obs ...sim.Observer) (string, sim.Stats, error) {
+// b.Expect. When imm is non-nil the run counts executions and fills it
+// with their Table 4 classification. It holds no lab locks: concurrent
+// runs of distinct points are the scheduler's normal mode.
+func run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, imm *ImmStats, obs ...sim.Observer) (string, sim.Stats, error) {
 	id := []telemetry.Attr{telemetry.String("bench", b.Name), telemetry.String("config", spec.Name)}
 	span := telemetry.StartSpan(kind, append(id, telemetry.String("observers", strconv.Itoa(len(obs))))...)
 	defer span.End()
@@ -293,6 +321,9 @@ func run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, obs .
 	for _, o := range obs {
 		machine.Attach(o)
 	}
+	if imm != nil {
+		machine.CountExecs()
+	}
 	rspan := telemetry.StartSpan("run", id...)
 	err = machine.Run(b.MaxInstrs)
 	rspan.End()
@@ -303,21 +334,29 @@ func run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, obs .
 	if b.Expect != "" && out != b.Expect {
 		return "", sim.Stats{}, fmt.Errorf("output %q, want %q", out, b.Expect)
 	}
+	if imm != nil {
+		*imm = execImm(machine)
+	}
 	return out, machine.Stats, nil
 }
 
-// wordBus is the 4-byte cacheless bus model read off the run loop's own
-// counters instead of observed: a one-word fetch buffer requests exactly
-// the words the loop counts in FetchWords, and every load or store is
-// one data request. TestBusCounterIdentity holds it to a real
-// memsys.NoCache observer.
-func wordBus(st sim.Stats) *memsys.NoCache {
-	return &memsys.NoCache{BusBytes: 4, IRequests: st.FetchWords, DRequests: st.DataOps()}
+// loopBus is the cacheless bus model of the given width read off the
+// run loop's own counters instead of observed: a one-block fetch buffer
+// requests exactly the blocks the loop counts (sim.Stats.FetchBlocks),
+// and every load or store is one data request. It is nil for a width
+// the loop does not count. TestBusCounterIdentity holds it to real
+// memsys.NoCache observers.
+func loopBus(st sim.Stats, width uint32) *memsys.NoCache {
+	n, ok := st.FetchBlocks(width)
+	if !ok {
+		return nil
+	}
+	return &memsys.NoCache{BusBytes: width, IRequests: n, DRequests: st.DataOps()}
 }
 
 // Measure compiles and runs one benchmark under one configuration (with
-// memoization). The 64-bit bus model and the immediate classifier
-// observe the run; the 32-bit bus model is read off the loop's counters.
+// memoization). It attaches no observer: both bus models and the
+// immediate classification are read off the run loop's counters.
 func (l *Lab) Measure(b *bench.Benchmark, spec *isa.Spec) (*Measurement, error) {
 	return await[*Measurement](l.MeasureTicket(context.Background(), b, spec))
 }
@@ -357,18 +396,18 @@ func (l *Lab) measureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.S
 			PoolBytes:    c.Image.PoolBytes,
 			StaticInstrs: c.Image.TextInstrs,
 			Spills:       c.Spills,
-			Bus64:        memsys.NewNoCache(8),
 			Image:        c.Image,
 		}
+		var imm ImmStats
 		var err error
-		m.Output, m.Stats, err = run("measure", b, spec, c, m.Bus64, &m.Imm)
+		m.Output, m.Stats, err = run("measure", b, spec, c, &imm)
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if err != nil {
 			l.errs[k] = err
 			return nil, err
 		}
-		m.Bus32 = wordBus(m.Stats)
+		m.Bus32, m.Bus64, m.Imm = loopBus(m.Stats, 4), loopBus(m.Stats, 8), imm
 		l.runs[k] = m
 		return m, nil
 	})
@@ -396,7 +435,7 @@ func (l *Lab) CacheSweep(b *bench.Benchmark, spec *isa.Spec, cfgs []cache.Config
 				}
 				systems[i], obs[i] = sys, sys
 			}
-			_, _, err := run("cache-sweep", b, spec, c, obs...)
+			_, _, err := run("cache-sweep", b, spec, c, nil, obs...)
 			return systems, err
 		}))
 }
@@ -404,12 +443,14 @@ func (l *Lab) CacheSweep(b *bench.Benchmark, spec *isa.Spec, cfgs []cache.Config
 // PipelineRun executes one benchmark under the event-driven cycle-level
 // pipeline model (one engine per memory configuration, all attached to a
 // single execution). Results are served from the scheduler's
-// content-addressed cache; the configurations must be cacheless (a
+// content-addressed cache, keyed by every hashable field of every
+// configuration; the configurations must be cacheless (a
 // pipeline.Config carrying its own cache.System is not hashable).
 func (l *Lab) PipelineRun(b *bench.Benchmark, spec *isa.Spec, cfgs []pipeline.Config) ([]*pipeline.Engine, error) {
 	params := func(h *jobs.Hasher) {
 		for _, cfg := range cfgs {
-			h.Int(int64(cfg.BusBytes)).Int(cfg.WaitStates).Bool(cfg.SharedPort).Int(cfg.MissPenalty)
+			h.Int(int64(cfg.BusBytes)).Int(cfg.WaitStates).Bool(cfg.SharedPort).Int(cfg.MissPenalty).
+				Int(int64(cfg.RecordDepth))
 		}
 	}
 	return await[[]*pipeline.Engine](l.submit(context.Background(), false, "pipeline-run", b, spec, params,
@@ -420,7 +461,7 @@ func (l *Lab) PipelineRun(b *bench.Benchmark, spec *isa.Spec, cfgs []pipeline.Co
 				engines[i] = pipeline.New(cfg)
 				obs[i] = engines[i]
 			}
-			_, _, err := run("pipeline-run", b, spec, c, obs...)
+			_, _, err := run("pipeline-run", b, spec, c, nil, obs...)
 			return engines, err
 		}))
 }
@@ -475,7 +516,7 @@ func (l *Lab) AccountTicket(ctx context.Context, b *bench.Benchmark, spec *isa.S
 			acct.Engines = append(acct.Engines, e)
 			obs[i] = e
 		}
-		_, _, err := run("account-run", b, spec, c, obs...)
+		_, _, err := run("account-run", b, spec, c, nil, obs...)
 		return acct, err
 	})
 }

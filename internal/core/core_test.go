@@ -172,6 +172,32 @@ func TestPipelineRun(t *testing.T) {
 	}
 }
 
+// TestPipelineRunKeyCoversRecordDepth checks that the pipeline-run
+// result key hashes RecordDepth: a call asking for a flight recorder
+// must not be served the engines of an earlier recorder-less call.
+func TestPipelineRunKeyCoversRecordDepth(t *testing.T) {
+	lab := NewLab()
+	b := bench.ByName("towers")
+	misses := lab.Scheduler().Metrics().CacheMisses.Value()
+	plain, err := lab.PipelineRun(b, isa.D16(), []pipeline.Config{{BusBytes: 4, WaitStates: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	recorded, err := lab.PipelineRun(b, isa.D16(), []pipeline.Config{{BusBytes: 4, WaitStates: 1, RecordDepth: 64}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := lab.Scheduler().Metrics().CacheMisses.Value() - misses; n != 2 {
+		t.Errorf("%d result-cache misses for two configurations differing in RecordDepth, want 2", n)
+	}
+	if recorded[0].Recorder() == nil {
+		t.Error("the RecordDepth 64 call returned an engine without a flight recorder")
+	}
+	if plain[0].Cycles() != recorded[0].Cycles() {
+		t.Errorf("recording changed the cycles: %d without, %d with", plain[0].Cycles(), recorded[0].Cycles())
+	}
+}
+
 func TestImmStatsClassification(t *testing.T) {
 	var s ImmStats
 	exec := func(in isa.Instr) { s.Exec(0x1000, in) }

@@ -30,11 +30,11 @@ import (
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_cells.json from the current engine")
 
 type goldenCell struct {
-	Bus      uint32   `json:"bus"`
-	Waits    int64    `json:"waits"`
-	Cycles   int64    `json:"cycles"`
-	Buckets  []int64  `json:"buckets"`
-	PerPCSHA string   `json:"per_pc_sha256"`
+	Bus      uint32  `json:"bus"`
+	Waits    int64   `json:"waits"`
+	Cycles   int64   `json:"cycles"`
+	Buckets  []int64 `json:"buckets"`
+	PerPCSHA string  `json:"per_pc_sha256"`
 }
 
 type goldenImage struct {
@@ -77,8 +77,8 @@ func perPCDigest(e *pipeline.Engine) string {
 
 // measureGoldenImage runs one compiled image once with all eight grid
 // engines attached (per-PC accounting on) and extracts the cells. The
-// run also checks the counter-derived 4-byte bus model against real
-// bus observers.
+// run also checks the counter-derived bus models and immediate
+// classification against real observers (oracle_test.go).
 func measureGoldenImage(t *testing.T, b *bench.Benchmark, spec *isa.Spec) goldenImage {
 	t.Helper()
 	lab := NewLab()
@@ -98,11 +98,11 @@ func measureGoldenImage(t *testing.T, b *bench.Benchmark, spec *isa.Spec) golden
 		m.Attach(engines[i])
 	}
 	// The same run also feeds the bus-counter oracle (oracle_test.go).
-	oracles := attachBusOracles(m)
+	oracles := attachOracles(m)
 	if err := m.Run(b.MaxInstrs); err != nil {
 		t.Fatalf("run %s on %s: %v", b.Name, spec.Name, err)
 	}
-	checkBusCounters(t, b.Name+" on "+spec.Name, m.Stats, oracles)
+	checkCounters(t, b.Name+" on "+spec.Name, m, oracles)
 	img := goldenImage{Bench: b.Name, Config: spec.Name}
 	for i, e := range engines {
 		bd := e.Breakdown()

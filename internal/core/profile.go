@@ -17,8 +17,8 @@ import (
 // requested bus width, from which the closed-form Appendix A model
 // expands cycles for any wait-state count. It is the sweep engine's
 // workhorse — a B-bus × W-wait-state grid costs one run, not B×W.
-// 4-byte models are read off the run loop's counters; other widths
-// observe the run.
+// 2-, 4- and 8-byte models are read off the run loop's counters; other
+// widths observe the run.
 type BusProfile struct {
 	Bench  string
 	Spec   *isa.Spec
@@ -67,20 +67,22 @@ func (l *Lab) BusProfileTicket(ctx context.Context, b *bench.Benchmark, spec *is
 			TextBytes:    len(c.Image.Text),
 			StaticInstrs: c.Image.TextInstrs,
 		}
+		// Widths the run loop counts are read off its counters after the
+		// run; any other width observes it.
 		var obs []sim.Observer
 		for i, w := range buses {
-			if w != 4 {
+			if _, counted := (&sim.Stats{}).FetchBlocks(w); !counted {
 				p.Buses[i] = memsys.NewNoCache(w)
 				obs = append(obs, p.Buses[i])
 			}
 		}
 		var err error
-		if p.Output, p.Stats, err = run("bus-profile", b, spec, c, obs...); err != nil {
+		if p.Output, p.Stats, err = run("bus-profile", b, spec, c, nil, obs...); err != nil {
 			return nil, err
 		}
 		for i, w := range buses {
-			if w == 4 {
-				p.Buses[i] = wordBus(p.Stats)
+			if p.Buses[i] == nil {
+				p.Buses[i] = loopBus(p.Stats, w)
 			}
 		}
 		return p, nil

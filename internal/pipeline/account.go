@@ -3,6 +3,7 @@ package pipeline
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -86,48 +87,55 @@ func (bd Breakdown) Snapshot(name string) *telemetry.Breakdown {
 // equals Cycles() exactly.
 func (e *Engine) Breakdown() Breakdown {
 	bd := e.buckets
+	for i := range e.perPC {
+		for b, n := range e.perPC[i] {
+			bd[b] += n
+		}
+	}
 	if e.Instrs > 0 {
 		bd[BDrain] = DrainCycles
 	}
 	return bd
 }
 
-// charge attributes n cycles at pc to bucket b. The window occupies
-// stage st and ends at cycle end (inclusive); when a flight recorder is
-// attached the window is also emitted as a stage-occupancy event, so
-// the event stream mirrors the bucket charges exactly.
-func (e *Engine) charge(pc uint32, b Bucket, n int64, st Stage, end int64) {
-	if n == 0 {
-		return
-	}
-	e.buckets[b] += n
-	if e.perPC != nil {
-		e.pcRow(pc)[b] += n
-	}
+// charge attributes n cycles at pc to bucket b of row: the engine's
+// global buckets, or pc's per-PC row when per-PC accounting is on (the
+// global breakdown is then the rows' sum). The window occupies stage st
+// and ends at cycle end (inclusive); when a flight recorder is attached
+// the window is also emitted as a stage-occupancy event, so the event
+// stream mirrors the bucket charges exactly. charge inlines into
+// ExecOp, so only a recorder costs a call.
+func (e *Engine) charge(row *Breakdown, pc uint32, b Bucket, n int64, st Stage, end int64) {
+	row[b] += n
 	if e.rec != nil {
+		e.recordCharge(pc, b, n, st, end)
+	}
+}
+
+// recordCharge emits a non-empty charge window to the flight recorder.
+// It stays out of line so charge itself fits the inlining budget.
+//
+//go:noinline
+func (e *Engine) recordCharge(pc uint32, b Bucket, n int64, st Stage, end int64) {
+	if n != 0 {
 		e.rec.record(Event{Cycle: end - n + 1, N: n, PC: pc, Stage: st, Cause: b})
 	}
 }
 
-// pcRow returns the per-PC accounting row for pc, growing the table on
-// demand. Rows are indexed by half-words from the text base so one
-// table shape serves both encodings.
-func (e *Engine) pcRow(pc uint32) *Breakdown {
-	i := int(pc-isa.TextBase) / 2
-	if i >= len(e.perPC) {
-		grown := make([]Breakdown, i+1)
-		copy(grown, e.perPC)
-		e.perPC = grown
-		fg := make([]int64, i+1)
-		copy(fg, e.perPCFetch)
-		e.perPCFetch = fg
-	}
-	return &e.perPC[i]
+// growPC grows the per-PC tables to hold row i. Rows are indexed by
+// half-words from the text base so one table shape serves both
+// encodings. The tables grow like append does, so a run that reaches a
+// new highest pc at every step still copies them only a logarithmic
+// number of times; rows past the old length were never written, so
+// they read as zero.
+func (e *Engine) growPC(i int) {
+	e.perPC = slices.Grow(e.perPC, i+1-len(e.perPC))[:i+1]
+	e.perPCFetch = slices.Grow(e.perPCFetch, i+1-len(e.perPCFetch))[:i+1]
 }
 
 // EnablePCAccounting turns on per-PC cycle attribution (and per-PC
-// fetch-transfer counting). Call before the run; the global breakdown
-// is always maintained regardless.
+// fetch-transfer counting). Call before the run; Breakdown sums the
+// rows, so the global breakdown is the same either way.
 func (e *Engine) EnablePCAccounting() {
 	if e.perPC == nil {
 		e.perPC = make([]Breakdown, 0, 1024)

@@ -94,8 +94,7 @@ type Engine struct {
 	iBusFree int64 // first cycle the instruction port is free
 	dBusFree int64 // first cycle the data port is free
 
-	bufAddr uint32
-	bufOK   bool
+	bufAddr uint32 // block in the one-block fetch buffer, or noBlock
 
 	ready     [64]int64 // operand availability per register
 	meta      [64]regMeta
@@ -107,7 +106,7 @@ type Engine struct {
 	pendOK   bool
 
 	// Cycle attribution (see account.go).
-	buckets    Breakdown
+	buckets    Breakdown   // global attribution, unused with per-PC rows
 	perPC      []Breakdown // nil until EnablePCAccounting
 	perPCFetch []int64
 	fetchXfers int64     // bus transfers on the instruction side
@@ -122,9 +121,13 @@ type Engine struct {
 	Interlock     int64 // issue cycles lost to operand readiness
 }
 
+// noBlock is the fetch buffer's state before the first fetch: an odd
+// address, which no fetch block (pc rounded down to the bus width) has.
+const noBlock = 1
+
 // New returns an engine for the given memory interface.
 func New(cfg Config) *Engine {
-	e := &Engine{cfg: cfg}
+	e := &Engine{cfg: cfg, bufAddr: noBlock}
 	switch {
 	case cfg.RecordDepth > 0:
 		e.rec = NewRecorder(cfg.RecordDepth)
@@ -154,12 +157,22 @@ func (e *Engine) Exec(pc uint32, in isa.Instr) {
 func (e *Engine) ExecOp(pc uint32, op decode.Op) {
 	e.Instrs++
 	issue := e.clock + 1
+	// Every charge below lands in row: pc's per-PC accounting row when
+	// that is on, else the global buckets.
+	row := &e.buckets
+	pcIdx := int(pc-isa.TextBase) / 2
+	if e.perPC != nil {
+		if pcIdx >= len(e.perPC) {
+			e.growPC(pcIdx)
+		}
+		row = &e.perPC[pcIdx]
+	}
 
 	// Instruction fetch: a miss in the one-block fetch buffer is a memory
 	// request; the instruction cannot issue before the word arrives. With
 	// caches, only an I-cache miss goes to memory.
 	block := pc &^ (e.cfg.BusBytes - 1)
-	if !e.bufOK || block != e.bufAddr {
+	if block != e.bufAddr {
 		e.FetchRequests++
 		toMem, cost, bucket := true, e.cfg.WaitStates, BFetchWait
 		if e.cfg.Caches != nil {
@@ -168,8 +181,7 @@ func (e *Engine) ExecOp(pc uint32, op decode.Op) {
 		if toMem {
 			e.fetchXfers++
 			if e.perPC != nil {
-				e.pcRow(pc)
-				e.perPCFetch[int(pc-isa.TextBase)/2]++
+				e.perPCFetch[pcIdx]++
 			}
 			start := max64(e.iBusFree, issue)
 			done := start + cost
@@ -182,13 +194,13 @@ func (e *Engine) ExecOp(pc uint32, op decode.Op) {
 				// the port), then the transfer latency ending at done.
 				delay := done - issue
 				latPart := min64(delay, cost)
-				e.charge(pc, bucket, latPart, StageIF, done)
-				e.charge(pc, BPortContention, delay-latPart, StageIF, done-latPart)
+				e.charge(row, pc, bucket, latPart, StageIF, done)
+				e.charge(row, pc, BPortContention, delay-latPart, StageIF, done-latPart)
 				e.FetchStall += delay
 				issue = done
 			}
 		}
-		e.bufAddr, e.bufOK = block, true
+		e.bufAddr = block
 	}
 
 	// Operand interlocks (load delay slots, FPU latencies). The whole
@@ -219,22 +231,22 @@ func (e *Engine) ExecOp(pc uint32, op decode.Op) {
 		// producer's timeline reads left to right in the trace lanes.
 		e.Interlock += stall
 		if blocking == -2 {
-			e.charge(pc, BFPU, stall, StageEX, issue-1)
+			e.charge(row, pc, BFPU, stall, StageEX, issue-1)
 		} else {
 			m := &e.meta[blocking]
 			latPart := min64(stall, m.lat)
 			conPart := min64(stall-latPart, m.con)
-			e.charge(pc, m.latBucket, latPart, StageMEM, issue-1)
-			e.charge(pc, BPortContention, conPart, StageMEM, issue-1-latPart)
+			e.charge(row, pc, m.latBucket, latPart, StageMEM, issue-1)
+			e.charge(row, pc, BPortContention, conPart, StageMEM, issue-1-latPart)
 			baseStage := StageID
 			if m.cause == BFPU {
 				baseStage = StageEX
 			}
-			e.charge(pc, m.cause, stall-latPart-conPart, baseStage, issue-1-latPart-conPart)
+			e.charge(row, pc, m.cause, stall-latPart-conPart, baseStage, issue-1-latPart-conPart)
 		}
 	}
 	e.clock = issue
-	e.charge(pc, BUseful, 1, StageEX, issue)
+	e.charge(row, pc, BUseful, 1, StageEX, issue)
 
 	// Result latency (the shared metadata rule lives in decode.Meta; the
 	// table's Lat column is isa.ResultLatency of the opcode).

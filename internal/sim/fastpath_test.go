@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 )
@@ -70,5 +71,88 @@ func TestFastPathMatchesGenericEngine(t *testing.T) {
 				t.Errorf("%v %+v: machine stats differ: %+v vs %+v", spec.Enc, cfg, mf.Stats, ms.Stats)
 			}
 		}
+	}
+}
+
+// cacheForward hides a cache.System behind a plain Observer, like
+// forward does for an engine.
+type cacheForward struct{ s *cache.System }
+
+func (f cacheForward) Exec(pc uint32, in isa.Instr) { f.s.Exec(pc, in) }
+func (f cacheForward) Load(addr, size uint32)       { f.s.Load(addr, size) }
+func (f cacheForward) Store(addr, size uint32)      { f.s.Store(addr, size) }
+
+// TestCacheFastPathMatchesGeneric: cache systems that Attach recognizes
+// and calls directly see the same accesses as ones behind the observer
+// interface, next to an engine and on both encodings.
+func TestCacheFastPathMatchesGeneric(t *testing.T) {
+	cfgs := []cache.Config{cache.PaperConfig(1024), cache.PaperConfigSub(2048, 16)}
+	for _, spec := range bothSpecs() {
+		img := assemble(t, loopProgram(spec), spec)
+		var fast, slow []*cache.System
+		mf, err := New(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ms, err := New(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range cfgs {
+			f, err := cache.NewSystem(cfg, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, _ := cache.NewSystem(cfg, cfg)
+			fast, slow = append(fast, f), append(slow, s)
+			mf.Attach(f)
+			ms.Attach(cacheForward{s})
+		}
+		mf.Attach(pipeline.New(pipeline.Config{BusBytes: 4}))
+		if len(mf.caches) != len(cfgs) || len(ms.caches) != 0 {
+			t.Fatalf("%v: %d direct cache systems, %d behind the interface", spec.Enc, len(mf.caches), len(ms.caches))
+		}
+		if err := mf.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		if err := ms.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		for i := range cfgs {
+			if fast[i].I.Stats != slow[i].I.Stats || fast[i].D.Stats != slow[i].D.Stats {
+				t.Errorf("%v %+v: direct I %+v D %+v, generic I %+v D %+v", spec.Enc, cfgs[i],
+					fast[i].I.Stats, fast[i].D.Stats, slow[i].I.Stats, slow[i].D.Stats)
+			}
+		}
+	}
+}
+
+// TestExecCounts: the per-slot counts of a counting run add up to the
+// retired instructions, survive a resumed run, and are off again after
+// a Reset.
+func TestExecCounts(t *testing.T) {
+	for _, spec := range bothSpecs() {
+		img := assemble(t, loopProgram(spec), spec)
+		m, err := New(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.CountExecs()
+		// Stop mid-loop, then resume: the counts carry over.
+		if err := m.Run(100); err == nil {
+			t.Fatal("a 100-instruction budget should not finish the loop")
+		}
+		if err := m.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		var sum int64
+		m.ExecCounts(func(_ isa.Instr, n int64) { sum += n })
+		if sum != m.Stats.Instrs {
+			t.Errorf("%v: counts add up to %d, %d instructions retired", spec.Enc, sum, m.Stats.Instrs)
+		}
+		if err := m.Reset(img); err != nil {
+			t.Fatal(err)
+		}
+		m.ExecCounts(func(isa.Instr, int64) { t.Errorf("%v: counts reported after Reset", spec.Enc) })
 	}
 }

@@ -35,10 +35,14 @@
 // Run and everything it calls per instruction (account, exec, the
 // observer notifications) must not allocate: the perfgate benchmark
 // sim/step enforces an allocs-per-instruction ceiling, and
-// TestRunDoesNotAllocate asserts zero steady-state allocations. When
-// exactly one pipeline.Engine is attached, Run calls it directly
-// (devirtualized); any other observer mix takes the interface slice
-// path.
+// TestRunDoesNotAllocate asserts zero steady-state allocations. The
+// timing models the paper's experiments attach are devirtualized:
+// pipeline.Engine and cache.System observers are recognized once by
+// Attach and called directly (a single engine alone gets the tightest
+// path), and only observers of other types go through the interface.
+// The cacheless bus models of widths 2, 4 and 8 and the per-instruction
+// execution counts (CountExecs) are kept by the loop itself, so
+// measurements that need only counts attach no observer at all.
 package sim
 
 import (
@@ -48,6 +52,7 @@ import (
 	"io"
 	"math"
 
+	"repro/internal/cache"
 	"repro/internal/decode"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
@@ -57,20 +62,38 @@ import (
 
 // Stats accumulates the dynamic measures of one run.
 type Stats struct {
-	Instrs     int64 // path length (includes delay-slot instructions)
-	Interlocks int64 // stall cycles from load delay and FPU latencies
-	Loads      int64 // data-read instructions (including ldc pool loads)
-	Stores     int64
-	PoolLoads  int64 // of Loads, D16 ldc literal-pool reads
-	FetchWords int64 // 32-bit instruction words fetched (simple sequential buffer)
-	Branches   int64 // executed PC-relative branches
-	Taken      int64 // of which taken
-	Jumps      int64
-	Nops       int64
+	Instrs           int64 // path length (includes delay-slot instructions)
+	Interlocks       int64 // stall cycles from load delay and FPU latencies
+	Loads            int64 // data-read instructions (including ldc pool loads)
+	Stores           int64
+	PoolLoads        int64 // of Loads, D16 ldc literal-pool reads
+	FetchWords       int64 // 32-bit instruction words fetched (simple sequential buffer)
+	FetchHalfwords   int64 // 16-bit fetch-buffer refills (a 2-byte bus)
+	FetchDoublewords int64 // 64-bit fetch-buffer refills (an 8-byte bus)
+	Branches         int64 // executed PC-relative branches
+	Taken            int64 // of which taken
+	Jumps            int64
+	Nops             int64
 }
 
 // DataOps returns total loads + stores (the paper's MemOps).
 func (s *Stats) DataOps() int64 { return s.Loads + s.Stores }
+
+// FetchBlocks returns the instruction fetch requests of a cacheless bus
+// width bytes wide with a one-block fetch buffer: how often execution
+// left the current width-byte block, sequentially or by branching. The
+// loop counts widths 2, 4 and 8; ok is false for any other width.
+func (s *Stats) FetchBlocks(width uint32) (n int64, ok bool) {
+	switch width {
+	case 2:
+		return s.FetchHalfwords, true
+	case 4:
+		return s.FetchWords, true
+	case 8:
+		return s.FetchDoublewords, true
+	}
+	return 0, false
+}
 
 // Observer receives execution events for trace-driven timing models. All
 // methods are called in program order.
@@ -120,12 +143,19 @@ type Machine struct {
 	obs       []Observer
 	eng       *pipeline.Engine   // devirtualized path when it is the only observer
 	engs      []*pipeline.Engine // attached engines, driven via ExecOp (no Synth)
-	others    []Observer         // non-engine observers, driven via the interface
+	caches    []*cache.System    // attached cache systems, called directly
+	others    []Observer         // remaining observers, driven via the interface
 	itrace    *telemetry.Ring[TraceEntry]
 	t         int64 // issue cycle counter for the scoreboard
 	ready     [64]int64
 	fpsrReady int64
-	lastWord  uint32 // last fetched 32-bit word address (+1 so 0 = none)
+	lastPC    uint32 // pc of the last fetched instruction (noPC = none)
+
+	// Per-slot execution counts, indexed like dec.Ops. The buffer is
+	// owned by the machine and reused across tenancies; counting is on
+	// only between CountExecs and the next Reset.
+	counting bool
+	counts   []int64
 
 	// Reset bookkeeping: the memory this tenancy may have written —
 	// the loaded image's spans plus the byte range covered by executed
@@ -136,6 +166,10 @@ type Machine struct {
 	dirtyLo       uint32
 	dirtyHi       uint32
 }
+
+// noPC is the fetch-buffer state before the first instruction: an odd
+// address no instruction has, so every bus width sees a block change.
+const noPC = ^uint32(0)
 
 // TraceEntry is one instruction-trace ring-buffer slot. The faulting
 // instruction of a trapped run is included: entries are recorded before
@@ -200,45 +234,82 @@ func (m *Machine) Reset(img *prog.Image) error {
 	m.Output.Reset()
 	m.Stats = Stats{}
 	m.TraceW = nil
-	for i := range m.obs {
-		m.obs[i] = nil
-	}
-	m.obs = m.obs[:0]
-	for i := range m.engs {
-		m.engs[i] = nil
-	}
-	m.engs = m.engs[:0]
-	for i := range m.others {
-		m.others[i] = nil
-	}
-	m.others = m.others[:0]
-	m.eng = nil
-	m.itrace = nil
+	m.dropObservers()
 	m.t = 0
 	m.ready = [64]int64{}
 	m.fpsrReady = 0
-	m.lastWord = 0
+	m.lastPC = noPC
+	m.counting = false
 	return nil
 }
 
-// Attach adds a timing-model observer. pipeline.Engine observers are
-// recognized by type once here and driven through direct ExecOp calls
-// in the run loop — a single attached engine gets the fully
-// devirtualized fast path, and additional engines (multi-bus profiling
-// attaches up to eight) still skip the interface dispatch and the
-// per-instruction metadata synthesis. Only observers of other types go
+// dropObservers detaches every observer, clearing the references so a
+// pooled machine does not keep released timing models alive.
+func (m *Machine) dropObservers() {
+	clear(m.obs)
+	m.obs = m.obs[:0]
+	clear(m.engs)
+	m.engs = m.engs[:0]
+	clear(m.caches)
+	m.caches = m.caches[:0]
+	clear(m.others)
+	m.others = m.others[:0]
+	m.eng = nil
+	m.itrace = nil
+}
+
+// Attach adds a timing-model observer. pipeline.Engine and cache.System
+// observers are recognized by type once here and called directly in the
+// run loop — a single attached engine gets the fully devirtualized fast
+// path, and additional engines (multi-bus profiling attaches up to
+// eight) still skip the interface dispatch and the per-instruction
+// metadata synthesis; cache systems (a cache sweep attaches one per
+// geometry) skip the dispatch too. Only observers of other types go
 // through the generic Exec interface.
 func (m *Machine) Attach(o Observer) {
 	m.obs = append(m.obs, o)
-	if e, ok := o.(*pipeline.Engine); ok {
-		m.engs = append(m.engs, e)
-	} else {
+	switch o := o.(type) {
+	case *pipeline.Engine:
+		m.engs = append(m.engs, o)
+	case *cache.System:
+		m.caches = append(m.caches, o)
+	default:
 		m.others = append(m.others, o)
 	}
 	if len(m.obs) == 1 && len(m.engs) == 1 {
 		m.eng = m.engs[0]
 	} else {
 		m.eng = nil
+	}
+}
+
+// CountExecs turns on per-instruction execution counting until the next
+// Reset: every retired instruction increments its slot of a buffer the
+// machine owns, which ExecCounts reads back. Calling it again zeroes the
+// counts. The buffer is reused across tenancies, so a pooled counting
+// run allocates nothing once the buffer has grown to the text size.
+func (m *Machine) CountExecs() {
+	n := len(m.dec.Ops)
+	if cap(m.counts) < n {
+		m.counts = make([]int64, n)
+	} else {
+		m.counts = m.counts[:n]
+		clear(m.counts)
+	}
+	m.counting = true
+}
+
+// ExecCounts calls fn, in text order, for every instruction retired
+// since CountExecs, with the number of times it retired. It calls
+// nothing when counting is off.
+func (m *Machine) ExecCounts(fn func(in isa.Instr, n int64)) {
+	if !m.counting {
+		return
+	}
+	for i, n := range m.counts {
+		if n != 0 {
+			fn(m.dec.Ops[i].In, n)
+		}
 	}
 }
 
@@ -299,21 +370,30 @@ func (m *Machine) fault(format string, args ...any) error {
 // The loop is the simulator's hot path: one indexed load into the
 // shared decode table per instruction (undecodable words are sentinel
 // ops in the same table, so there is no separate error lookup), the
-// inline scoreboard in account, and a direct call into the single
-// attached pipeline engine when one is present. None of it allocates.
+// inline fetch-block counters and scoreboard, and direct calls into
+// attached pipeline engines and cache systems. None of it allocates.
 func (m *Machine) Run(maxInstrs int64) error {
 	ops := m.dec.Ops
 	base, shift, ibMask := m.dec.Base, m.dec.Shift, m.ib-1
 	pc, npc := m.PC, m.PC+m.ib
 
 	// The per-instruction bookkeeping — path-length counters, the
-	// sequential-fetch word count and the interlock scoreboard clock —
-	// lives in locals for the duration of the loop and is flushed to
-	// Stats on every exit. The scoreboard reads the table's precomputed
-	// register sources, destination and result latency; the historical
-	// per-instruction re-derivation from the decoded form is gone.
-	instrs, nops, fetchWords, interlocks := m.Stats.Instrs, m.Stats.Nops, m.Stats.FetchWords, m.Stats.Interlocks
-	t, lastWord, fpsrReady := m.t, m.lastWord, m.fpsrReady
+	// fetch-block counts of the 2-, 4- and 8-byte buses and the
+	// interlock scoreboard clock — lives in locals for the duration of
+	// the loop and is flushed to Stats on every exit. The scoreboard
+	// reads the table's precomputed register sources, destination and
+	// result latency; the historical per-instruction re-derivation from
+	// the decoded form is gone.
+	instrs, nops, interlocks := m.Stats.Instrs, m.Stats.Nops, m.Stats.Interlocks
+	words, dwords := m.Stats.FetchWords, m.Stats.FetchDoublewords
+	// Every instruction but an immediate repeat of the previous pc is a
+	// new 2-byte block, so the loop counts the rare repeats instead.
+	repeats := instrs - m.Stats.FetchHalfwords
+	t, lastPC, fpsrReady := m.t, m.lastPC, m.fpsrReady
+	var counts []int64
+	if m.counting {
+		counts = m.counts
+	}
 	var runErr error
 
 	for !m.halted {
@@ -351,13 +431,21 @@ func (m *Machine) Run(maxInstrs int64) error {
 		if op.Flags&decode.FNop != 0 {
 			nops++
 		}
-		// Word-granularity instruction traffic (Table 8's measure): a
-		// new 32-bit word is fetched whenever execution leaves the
-		// current word, sequentially or by branching.
-		if w := pc&^3 + 1; w != lastWord {
-			fetchWords++
-			lastWord = w
+		// Instruction traffic of a one-block fetch buffer (Table 8's
+		// measure at 4 bytes): a bus requests a new block whenever
+		// execution leaves the current one, sequentially or by
+		// branching. pc and lastPC share a width-byte block exactly when
+		// their xor is below the width, so the blocks nest: a wider one
+		// changes only when every narrower one does.
+		if d := pc ^ lastPC; d > 3 {
+			words++
+			if d > 7 {
+				dwords++
+			}
+		} else if d == 0 {
+			repeats++
 		}
+		lastPC = pc
 		// Scoreboard: stall until all sources are ready.
 		issue := t
 		if op.U1 != decode.None {
@@ -387,11 +475,17 @@ func (m *Machine) Run(maxInstrs int64) error {
 			runErr = err
 			break
 		}
+		if counts != nil {
+			counts[i]++
+		}
 		if m.eng != nil {
 			m.eng.ExecOp(pc, op)
-		} else {
+		} else if len(m.obs) != 0 {
 			for _, e := range m.engs {
 				e.ExecOp(pc, op)
+			}
+			for _, s := range m.caches {
+				s.Exec(pc, op.In)
 			}
 			for _, o := range m.others {
 				o.Exec(pc, op.In)
@@ -403,8 +497,9 @@ func (m *Machine) Run(maxInstrs int64) error {
 			pc, npc = npc, npc+m.ib
 		}
 	}
-	m.Stats.Instrs, m.Stats.Nops, m.Stats.FetchWords, m.Stats.Interlocks = instrs, nops, fetchWords, interlocks
-	m.t, m.lastWord, m.fpsrReady = t, lastWord, fpsrReady
+	m.Stats.Instrs, m.Stats.Nops, m.Stats.Interlocks = instrs, nops, interlocks
+	m.Stats.FetchHalfwords, m.Stats.FetchWords, m.Stats.FetchDoublewords = instrs-repeats, words, dwords
+	m.t, m.lastPC, m.fpsrReady = t, lastPC, fpsrReady
 	if runErr == nil {
 		m.PC = pc
 	}
@@ -492,6 +587,9 @@ func (m *Machine) notifyLoad(addr, size uint32) {
 	for _, e := range m.engs {
 		e.Load(addr, size)
 	}
+	for _, s := range m.caches {
+		s.Load(addr, size)
+	}
 	for _, o := range m.others {
 		o.Load(addr, size)
 	}
@@ -510,6 +608,9 @@ func (m *Machine) notifyStore(addr, size uint32) {
 	}
 	for _, e := range m.engs {
 		e.Store(addr, size)
+	}
+	for _, s := range m.caches {
+		s.Store(addr, size)
 	}
 	for _, o := range m.others {
 		o.Store(addr, size)

@@ -43,20 +43,7 @@ func Release(m *Machine) {
 	if m == nil {
 		return
 	}
-	for i := range m.obs {
-		m.obs[i] = nil
-	}
-	m.obs = m.obs[:0]
-	for i := range m.engs {
-		m.engs[i] = nil
-	}
-	m.engs = m.engs[:0]
-	for i := range m.others {
-		m.others[i] = nil
-	}
-	m.others = m.others[:0]
-	m.eng = nil
-	m.itrace = nil
+	m.dropObservers()
 	m.TraceW = nil
 	pools[int(m.Enc)&1].Put(m)
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/asm"
+	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 	"repro/internal/prog"
@@ -79,8 +80,10 @@ func stateDiff(a, b *Machine) string {
 		return fmt.Sprintf("Output: %q vs %q", a.Output.String(), b.Output.String())
 	case a.dec != b.dec:
 		return "decode tables differ"
-	case a.t != b.t, a.ready != b.ready, a.fpsrReady != b.fpsrReady, a.lastWord != b.lastWord:
+	case a.t != b.t, a.ready != b.ready, a.fpsrReady != b.fpsrReady, a.lastPC != b.lastPC:
 		return "scoreboard state differs"
+	case a.counting != b.counting:
+		return fmt.Sprintf("execution counting: %v vs %v", a.counting, b.counting)
 	}
 	return ""
 }
@@ -160,30 +163,45 @@ func TestAcquireReleaseRoundTrip(t *testing.T) {
 }
 
 // TestRunDoesNotAllocate: the hot loop — fetch, scoreboard, exec, and
-// the devirtualized engine notifications — performs zero steady-state
-// allocations per run.
+// the devirtualized engine and cache notifications, or the execution
+// counting a measurement uses instead of observers — performs zero
+// steady-state allocations per run.
 func TestRunDoesNotAllocate(t *testing.T) {
 	img := assemble(t, quietLoopProgram(isa.D16()), isa.D16())
-	m, err := New(img)
+	eng := pipeline.New(pipeline.Config{BusBytes: 4, WaitStates: 1})
+	sys, err := cache.NewSystem(cache.PaperConfig(1024), cache.PaperConfig(1024))
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := pipeline.New(pipeline.Config{BusBytes: 4, WaitStates: 1})
-	// Warm up: first run grows the Output buffer and observer slice once.
-	m.Attach(eng)
-	if err := m.Run(1_000_000); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if err := m.Reset(img); err != nil {
+	for _, tc := range []struct {
+		name  string
+		setup func(*Machine)
+	}{
+		{"engine", func(m *Machine) { m.Attach(eng) }},
+		{"cache", func(m *Machine) { m.Attach(sys) }},
+		{"counting", func(m *Machine) { m.CountExecs() }},
+	} {
+		m, err := New(img)
+		if err != nil {
 			t.Fatal(err)
 		}
-		m.Attach(eng)
+		// Warm up: the first run grows the Output buffer, the observer
+		// slices and the count buffer once.
+		tc.setup(m)
 		if err := m.Run(1_000_000); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("Run allocates %.1f times per run, want 0", allocs)
+		allocs := testing.AllocsPerRun(5, func() {
+			if err := m.Reset(img); err != nil {
+				t.Fatal(err)
+			}
+			tc.setup(m)
+			if err := m.Run(1_000_000); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0 {
+			t.Errorf("%s: Run allocates %.1f times per run, want 0", tc.name, allocs)
+		}
 	}
 }
