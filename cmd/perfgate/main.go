@@ -137,6 +137,13 @@ func main() {
 		}
 		cur.Benchmarks = append(cur.Benchmarks, r)
 	}
+	if sel.MatchString("cache/lab-sweep") {
+		r, err := benchLabSweep()
+		if err != nil {
+			fatal(err)
+		}
+		cur.Benchmarks = append(cur.Benchmarks, r)
+	}
 	if sel.MatchString("pipe/throughput") {
 		r, err := benchPipeThroughput()
 		if err != nil {
@@ -361,6 +368,39 @@ func benchCacheSweep() (Result, error) {
 		return nil
 	})
 	return r, err
+}
+
+// benchLabSweep times the paper pass's cache-sweep point end to end: a
+// fresh sequential lab compiles ipl for D16 and runs it with the five
+// Section 4.1 cache systems attached, spread over the host's idle cores
+// as shards. It reports wall-clock ns/op and simulated instructions
+// (of one execution) per second.
+func benchLabSweep() (Result, error) {
+	b := bench.ByName("ipl")
+	if b == nil {
+		return Result{}, fmt.Errorf("cache/lab-sweep: benchmark ipl missing")
+	}
+	var cfgs []cache.Config
+	for size := uint32(1024); size <= 16384; size *= 2 {
+		cfgs = append(cfgs, cache.PaperConfig(size))
+	}
+	m, err := core.NewLab().Measure(b, isa.D16())
+	if err != nil {
+		return Result{}, err
+	}
+	r, err := run("cache/lab-sweep", func(tb *testing.B) {
+		tb.ReportAllocs()
+		for i := 0; i < tb.N; i++ {
+			if _, err := core.NewLab().CacheSweep(b, isa.D16(), cfgs); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	})
+	if err != nil {
+		return Result{}, err
+	}
+	r.InstrsPerSec = float64(m.Stats.Instrs) * 1e9 / r.NsPerOp
+	return r, nil
 }
 
 // benchPipeThroughput measures simulator throughput with the

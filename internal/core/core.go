@@ -10,11 +10,18 @@
 // re-reads the same underlying run. Every kind of run the lab offers
 // goes through one simulation site (run) and one job-submission helper
 // (submit).
+//
+// Points execute one at a time, in order, on a sequential lab; a
+// parallel lab spreads them over its workers. Either way a point with
+// several timing observers may run as parallel shards, one machine per
+// group of observers, on the cores the workers leave idle.
 package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"runtime"
 	"sort"
 	"strconv"
 	"sync"
@@ -168,11 +175,12 @@ func (s *ImmStats) Store(addr uint32, size uint32) {}
 // memory configuration, so repeated submissions — including ones
 // arriving over the batch HTTP API — are served without re-simulating.
 type Lab struct {
-	sched *jobs.Scheduler
-	mu    sync.Mutex
-	comp  map[string]*flight[*mcc.Compiled]
-	runs  map[string]*Measurement // by bench|spec, for enumeration
-	errs  map[string]error        // failed measure runs, by bench|spec
+	sched  *jobs.Scheduler
+	shards int // most machines one run's observers are spread over (see run)
+	mu     sync.Mutex
+	comp   map[string]*flight[*mcc.Compiled]
+	runs   map[string]*Measurement // by bench|spec, for enumeration
+	errs   map[string]error        // failed measure runs, by bench|spec
 }
 
 // flight is a one-shot memoization cell: the first caller runs fn,
@@ -195,9 +203,12 @@ func flightDo[T any](l *Lab, m map[string]*flight[T], k string, fn func() (T, er
 	return f.val, f.err
 }
 
-// NewLab returns a sequential measurement harness: points execute
-// inline on the calling goroutine, preserving the exact behavior and
-// ordering of a scheduler-free run.
+// NewLab returns a sequential measurement harness: points execute one
+// at a time, in order, inline on the calling goroutine, preserving the
+// exact behavior and ordering of a scheduler-free run. A point with
+// several observers (a cache sweep, a multi-engine pipeline run) may run
+// as parallel shards across the host's idle cores; its results are the
+// same as on one machine.
 func NewLab() *Lab { return NewLabWith(jobs.New(jobs.Config{})) }
 
 // NewParallelLab returns a harness whose points execute on a pool of
@@ -212,13 +223,23 @@ func NewParallelLab(workers int) *Lab {
 }
 
 // NewLabWith returns a harness running on a caller-shaped scheduler.
+// Its runs shard their observers over the cores the scheduler's workers
+// leave idle (see shardsFor).
 func NewLabWith(s *jobs.Scheduler) *Lab {
 	return &Lab{
-		sched: s,
-		comp:  map[string]*flight[*mcc.Compiled]{},
-		runs:  map[string]*Measurement{},
-		errs:  map[string]error{},
+		sched:  s,
+		shards: shardsFor(runtime.GOMAXPROCS(0), s.Workers()),
+		comp:   map[string]*flight[*mcc.Compiled]{},
+		runs:   map[string]*Measurement{},
+		errs:   map[string]error{},
 	}
+}
+
+// shardsFor is the most shards one run may use: the cores per scheduler
+// worker, where an inline scheduler (0 workers) counts as one worker. A
+// pool with at least as many workers as cores runs one machine per run.
+func shardsFor(procs, workers int) int {
+	return max(1, procs/max(1, workers))
 }
 
 // Scheduler returns the lab's job scheduler (for metrics registration
@@ -303,41 +324,122 @@ func await[T any](t *jobs.Ticket, err error) (T, error) {
 }
 
 // run is core's one simulation site. It executes a compiled benchmark
-// on a pooled machine with obs attached, inside a span named after the
-// run kind with a nested "run" span around the loop itself, stops at
-// the benchmark's instruction budget, and checks the output against
-// b.Expect. When imm is non-nil the run counts executions and fills it
-// with their Table 4 classification. It holds no lab locks: concurrent
-// runs of distinct points are the scheduler's normal mode.
-func run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, imm *ImmStats, obs ...sim.Observer) (string, sim.Stats, error) {
+// with obs attached, inside a span named after the run kind with a
+// nested "run" span around the loop itself, stops at the benchmark's
+// instruction budget, and checks the output against b.Expect. When imm
+// is non-nil the run counts executions and fills it with their Table 4
+// classification. It holds no lab locks: concurrent runs of distinct
+// points are the scheduler's normal mode.
+//
+// A run with several observers executes as up to l.shards shards: the
+// observers are dealt round-robin into groups, and each group rides its
+// own pooled machine running the same image, all at once. Shard 0 runs
+// on the calling goroutine; run joins the others before it returns.
+// Every observer sees the same instruction stream it would see on one
+// machine, so the shards must agree on output and statistics (see
+// agree), which makes every sharded run a determinism check.
+func (l *Lab) run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, imm *ImmStats, obs ...sim.Observer) (string, sim.Stats, error) {
+	k := max(1, min(len(obs), l.shards))
 	id := []telemetry.Attr{telemetry.String("bench", b.Name), telemetry.String("config", spec.Name)}
-	span := telemetry.StartSpan(kind, append(id, telemetry.String("observers", strconv.Itoa(len(obs))))...)
+	span := telemetry.StartSpan(kind, append(id,
+		telemetry.String("observers", strconv.Itoa(len(obs))), telemetry.String("shards", strconv.Itoa(k)))...)
 	defer span.End()
+	shards := make([]shard, k)
+	for i, o := range obs {
+		shards[i%k].obs = append(shards[i%k].obs, o)
+	}
+	var wg sync.WaitGroup
+	defer wg.Wait() // a panic in shard 0 still joins the others
+	for i := 1; i < k; i++ {
+		wg.Add(1)
+		go func(s *shard, lane int) {
+			defer wg.Done()
+			defer func() { s.panicked = recover() }()
+			s.exec(b, c, nil, lane, id)
+		}(&shards[i], 1+i)
+	}
+	shards[0].exec(b, c, imm, 1, id)
+	wg.Wait()
+	// A shard's panic resurfaces on the job's goroutine, where the
+	// scheduler's recover turns it into the job's error.
+	for i := range shards {
+		if p := shards[i].panicked; p != nil {
+			panic(p)
+		}
+	}
+	return agree(shards)
+}
+
+// shard is one machine's share of a run: its observers and what the
+// machine finished with.
+type shard struct {
+	obs      []sim.Observer
+	out      string
+	stats    sim.Stats
+	err      error
+	panicked any
+}
+
+// exec runs the benchmark on a pooled machine with the shard's
+// observers attached, recording the loop's span on the given trace lane.
+func (s *shard) exec(b *bench.Benchmark, c *mcc.Compiled, imm *ImmStats, lane int, id []telemetry.Attr) {
 	machine, err := sim.Acquire(c.Image)
 	if err != nil {
-		return "", sim.Stats{}, err
+		s.err = err
+		return
 	}
 	defer sim.Release(machine)
-	for _, o := range obs {
+	for _, o := range s.obs {
 		machine.Attach(o)
 	}
 	if imm != nil {
 		machine.CountExecs()
 	}
-	rspan := telemetry.StartSpan("run", id...)
+	rspan := telemetry.StartSpanOn(lane, "run", id...)
 	err = machine.Run(b.MaxInstrs)
 	rspan.End()
 	if err != nil {
-		return "", sim.Stats{}, err
+		s.err = err
+		return
 	}
 	out := machine.Output.String()
 	if b.Expect != "" && out != b.Expect {
-		return "", sim.Stats{}, fmt.Errorf("output %q, want %q", out, b.Expect)
+		s.err = fmt.Errorf("output %q, want %q", out, b.Expect)
+		return
 	}
 	if imm != nil {
 		*imm = execImm(machine)
 	}
-	return out, machine.Stats, nil
+	s.out, s.stats = out, machine.Stats
+}
+
+// errDiverged marks shards of one run that finished differently.
+var errDiverged = errors.New("shards diverged")
+
+// agree returns the outcome every shard of a run reached, or an
+// errDiverged error naming the first shard whose error, output or
+// statistics differ from shard 0's.
+func agree(shards []shard) (string, sim.Stats, error) {
+	s0 := &shards[0]
+	for i := 1; i < len(shards); i++ {
+		s := &shards[i]
+		var diff string
+		switch {
+		case fmt.Sprint(s.err) != fmt.Sprint(s0.err):
+			diff = fmt.Sprintf("error %q, shard 0 %q", fmt.Sprint(s.err), fmt.Sprint(s0.err))
+		case s.out != s0.out:
+			diff = fmt.Sprintf("output %q, shard 0 %q", s.out, s0.out)
+		case s.stats != s0.stats:
+			diff = fmt.Sprintf("stats %+v, shard 0 %+v", s.stats, s0.stats)
+		default:
+			continue
+		}
+		return "", sim.Stats{}, fmt.Errorf("%w: shard %d of %d: %s", errDiverged, i, len(shards), diff)
+	}
+	if s0.err != nil {
+		return "", sim.Stats{}, s0.err
+	}
+	return s0.out, s0.stats, nil
 }
 
 // loopBus is the cacheless bus model of the given width read off the
@@ -400,7 +502,7 @@ func (l *Lab) measureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.S
 		}
 		var imm ImmStats
 		var err error
-		m.Output, m.Stats, err = run("measure", b, spec, c, &imm)
+		m.Output, m.Stats, err = l.run("measure", b, spec, c, &imm)
 		l.mu.Lock()
 		defer l.mu.Unlock()
 		if err != nil {
@@ -435,7 +537,7 @@ func (l *Lab) CacheSweep(b *bench.Benchmark, spec *isa.Spec, cfgs []cache.Config
 				}
 				systems[i], obs[i] = sys, sys
 			}
-			_, _, err := run("cache-sweep", b, spec, c, nil, obs...)
+			_, _, err := l.run("cache-sweep", b, spec, c, nil, obs...)
 			return systems, err
 		}))
 }
@@ -461,7 +563,7 @@ func (l *Lab) PipelineRun(b *bench.Benchmark, spec *isa.Spec, cfgs []pipeline.Co
 				engines[i] = pipeline.New(cfg)
 				obs[i] = engines[i]
 			}
-			_, _, err := run("pipeline-run", b, spec, c, nil, obs...)
+			_, _, err := l.run("pipeline-run", b, spec, c, nil, obs...)
 			return engines, err
 		}))
 }
@@ -516,7 +618,7 @@ func (l *Lab) AccountTicket(ctx context.Context, b *bench.Benchmark, spec *isa.S
 			acct.Engines = append(acct.Engines, e)
 			obs[i] = e
 		}
-		_, _, err := run("account-run", b, spec, c, nil, obs...)
+		_, _, err := l.run("account-run", b, spec, c, nil, obs...)
 		return acct, err
 	})
 }

@@ -77,7 +77,7 @@ func (l *Lab) BusProfileTicket(ctx context.Context, b *bench.Benchmark, spec *is
 			}
 		}
 		var err error
-		if p.Output, p.Stats, err = run("bus-profile", b, spec, c, nil, obs...); err != nil {
+		if p.Output, p.Stats, err = l.run("bus-profile", b, spec, c, nil, obs...); err != nil {
 			return nil, err
 		}
 		for i, w := range buses {

@@ -36,7 +36,8 @@ type Event struct {
 }
 
 // Tracer records spans. All methods are safe for concurrent use; spans
-// recorded from one goroutine nest by time containment when viewed.
+// recorded on one lane (trace thread ID) from one goroutine nest by
+// time containment when viewed.
 type Tracer struct {
 	mu     sync.Mutex
 	epoch  time.Time
@@ -50,18 +51,26 @@ func NewTracer() *Tracer { return &Tracer{epoch: time.Now()} }
 // disabled tracer) is a no-op, so callers never need to check.
 type Span struct {
 	t     *Tracer
+	tid   int
 	name  string
 	args  map[string]string
 	start time.Time
 }
 
-// Start opens a span. Call End on the returned span when the operation
-// completes.
+// Start opens a span on lane 1. Call End on the returned span when the
+// operation completes.
 func (t *Tracer) Start(name string, attrs ...Attr) *Span {
+	return t.StartOn(1, name, attrs...)
+}
+
+// StartOn opens a span on the given lane (the trace event's thread ID),
+// so work running concurrently with lane 1 renders as its own track
+// instead of overlapping lane 1's spans.
+func (t *Tracer) StartOn(tid int, name string, attrs ...Attr) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{t: t, name: name, start: time.Now()}
+	s := &Span{t: t, tid: tid, name: name, start: time.Now()}
 	if len(attrs) > 0 {
 		s.args = make(map[string]string, len(attrs))
 		for _, a := range attrs {
@@ -84,7 +93,7 @@ func (s *Span) End() {
 		TS:   float64(s.start.Sub(s.t.epoch).Nanoseconds()) / 1e3,
 		Dur:  float64(end.Sub(s.start).Nanoseconds()) / 1e3,
 		PID:  1,
-		TID:  1,
+		TID:  s.tid,
 		Args: s.args,
 	})
 	s.t.mu.Unlock()
@@ -157,4 +166,10 @@ func GlobalTracer() *Tracer { return globalTracer.Load() }
 // is disabled).
 func StartSpan(name string, attrs ...Attr) *Span {
 	return globalTracer.Load().Start(name, attrs...)
+}
+
+// StartSpanOn opens a span on the given lane of the global tracer (see
+// Tracer.StartOn).
+func StartSpanOn(tid int, name string, attrs ...Attr) *Span {
+	return globalTracer.Load().StartOn(tid, name, attrs...)
 }

@@ -87,3 +87,18 @@ func TestGlobalTracerCollects(t *testing.T) {
 		t.Errorf("global span not recorded: %v", tr.Events())
 	}
 }
+
+func TestStartOnRecordsLane(t *testing.T) {
+	tr := NewTracer()
+	SetGlobalTracer(tr)
+	defer SetGlobalTracer(nil)
+	StartSpan("main").End()
+	StartSpanOn(3, "shard").End()
+	lanes := map[string]int{}
+	for _, e := range tr.Events() {
+		lanes[e.Name] = e.TID
+	}
+	if lanes["main"] != 1 || lanes["shard"] != 3 {
+		t.Errorf("lanes = %v, want main on 1 and shard on 3", lanes)
+	}
+}
