@@ -6,9 +6,9 @@
 TMP := /tmp/repro-make
 BIN := $(TMP)/bin
 
-.PHONY: check build bench-build test vet lint verify fuzz-short smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench bench-smoke clean
+.PHONY: check build bench-build test vet lint verify fuzz-short smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench bench-smoke clean
 
-check: vet lint build bench-build test fuzz-short verify smoke store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench-smoke
+check: vet lint build bench-build test fuzz-short verify smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench-smoke
 
 vet:
 	go vet ./...
@@ -67,6 +67,18 @@ $(BIN)/simd: build
 smoke: $(BIN)/repro
 	$(BIN)/repro -run fig4 -json $(TMP)/smoke >/dev/null
 	@test -s $(TMP)/smoke/fig4.json && echo "smoke ok: $(TMP)/smoke/fig4.json"
+
+# Paper golden: the text of every registered experiment must match the
+# checked-in reference line for line, and a mismatch prints the lines
+# that moved. TestPaperGoldenMatchesDigests holds the reference to
+# benchmark/testdata/paper.sha256. After an intended output change,
+# regenerate the reference with
+#   go run ./cmd/repro -run all -timing=false > internal/experiments/testdata/paper.txt
+# and review its diff.
+paper-golden: $(BIN)/repro
+	$(BIN)/repro -run all -timing=false > $(TMP)/paper.txt
+	diff -u internal/experiments/testdata/paper.txt $(TMP)/paper.txt
+	@echo "paper golden ok: all experiments match internal/experiments/testdata/paper.txt"
 
 # Store smoke: a run writes the columnar measurement store alongside the
 # JSON, a second run reproduces it byte for byte, and the query CLI can

@@ -7,9 +7,14 @@
 // standard models filled in (fetch-buffer models for both bus widths and
 // the immediate-field classifier, all read off the run loop's counters),
 // and caches the result, so each of the paper's tables and figures
-// re-reads the same underlying run. Every kind of run the lab offers
-// goes through one simulation site (run) and one job-submission helper
-// (submit).
+// re-reads the same underlying run. A BusProfile, the cacheless view
+// sweeps expand, is derived from that same measurement.
+//
+// The lab offers four kinds of run: measure (no observer), cache-sweep,
+// pipeline-run and account-run (timing observers on one execution).
+// Every kind goes through one simulation site (run) and one
+// job-submission helper (submit), and every result lives in one table,
+// the scheduler's content-addressed result cache.
 //
 // Points execute one at a time, in order, on a sequential lab; a
 // parallel lab spreads them over its workers. Either way a point with
@@ -174,13 +179,12 @@ func (s *ImmStats) Store(addr uint32, size uint32) {}
 // result cache, keyed by a hash of the program image plus the simulated
 // memory configuration, so repeated submissions — including ones
 // arriving over the batch HTTP API — are served without re-simulating.
+// A failed run is not cached: resubmitting it runs it again.
 type Lab struct {
 	sched  *jobs.Scheduler
 	shards int // most machines one run's observers are spread over (see run)
 	mu     sync.Mutex
 	comp   map[string]*flight[*mcc.Compiled]
-	runs   map[string]*Measurement // by bench|spec, for enumeration
-	errs   map[string]error        // failed measure runs, by bench|spec
 }
 
 // flight is a one-shot memoization cell: the first caller runs fn,
@@ -230,8 +234,6 @@ func NewLabWith(s *jobs.Scheduler) *Lab {
 		sched:  s,
 		shards: shardsFor(runtime.GOMAXPROCS(0), s.Workers()),
 		comp:   map[string]*flight[*mcc.Compiled]{},
-		runs:   map[string]*Measurement{},
-		errs:   map[string]error{},
 	}
 }
 
@@ -478,16 +480,8 @@ func (l *Lab) TryMeasureTicket(ctx context.Context, b *bench.Benchmark, spec *is
 	return l.measureTicket(ctx, b, spec, true)
 }
 
-// measureTicket submits a measurement. Outcomes are recorded for
-// enumeration, and a failed point keeps failing without re-simulating.
+// measureTicket submits a measurement.
 func (l *Lab) measureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.Spec, try bool) (*jobs.Ticket, error) {
-	k := key(b, spec)
-	l.mu.Lock()
-	err := l.errs[k]
-	l.mu.Unlock()
-	if err != nil {
-		return nil, runError("measure", b, spec, err)
-	}
 	return l.submit(ctx, try, "measure", b, spec, nil, func(c *mcc.Compiled) (any, error) {
 		m := &Measurement{
 			Bench:        b.Name,
@@ -500,17 +494,11 @@ func (l *Lab) measureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.S
 			Spills:       c.Spills,
 			Image:        c.Image,
 		}
-		var imm ImmStats
 		var err error
-		m.Output, m.Stats, err = l.run("measure", b, spec, c, &imm)
-		l.mu.Lock()
-		defer l.mu.Unlock()
-		if err != nil {
-			l.errs[k] = err
+		if m.Output, m.Stats, err = l.run("measure", b, spec, c, &m.Imm); err != nil {
 			return nil, err
 		}
-		m.Bus32, m.Bus64, m.Imm = loopBus(m.Stats, 4), loopBus(m.Stats, 8), imm
-		l.runs[k] = m
+		m.Bus32, m.Bus64 = loopBus(m.Stats, 4), loopBus(m.Stats, 8)
 		return m, nil
 	})
 }
@@ -634,15 +622,16 @@ type AccountConfig struct {
 	MissPenalty int64
 }
 
-// Measurements returns every memoized measurement, sorted by benchmark
-// then configuration (the export order of the suite summary).
+// Measurements returns every measurement in the scheduler's result
+// cache, sorted by benchmark then configuration (the export order of
+// the suite summary).
 func (l *Lab) Measurements() []*Measurement {
-	l.mu.Lock()
-	out := make([]*Measurement, 0, len(l.runs))
-	for _, m := range l.runs { //detlint:ignore rangemap sorted immediately below
-		out = append(out, m)
-	}
-	l.mu.Unlock()
+	var out []*Measurement
+	l.sched.Cache().Range(func(v any) {
+		if m, ok := v.(*Measurement); ok {
+			out = append(out, m)
+		}
+	})
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].Bench != out[j].Bench {
 			return out[i].Bench < out[j].Bench

@@ -37,12 +37,73 @@ func TestMeasureChecksExpectedOutput(t *testing.T) {
 		Expect:    "2",
 		MaxInstrs: 10000,
 	}
-	if _, err := lab.Measure(bad, isa.D16()); err == nil {
+	_, err1 := lab.Measure(bad, isa.D16())
+	if err1 == nil {
 		t.Fatal("expected an output-mismatch error")
 	}
-	// Errors are memoized too.
-	if _, err := lab.Measure(bad, isa.D16()); err == nil {
-		t.Fatal("expected the cached error")
+	// A failure is not cached: the second call runs again and fails
+	// the same way.
+	if _, err2 := lab.Measure(bad, isa.D16()); err2 == nil || err2.Error() != err1.Error() {
+		t.Fatalf("second Measure error %v, first %v", err2, err1)
+	}
+}
+
+// TestMeasurementsListsTheResultCache checks that Lab.Measurements,
+// which reads the scheduler's result cache, returns exactly the
+// measured points, sorted by benchmark then configuration: cache-sweep
+// and pipeline results are not measurements, and a failed measure is
+// neither listed nor remembered.
+func TestMeasurementsListsTheResultCache(t *testing.T) {
+	lab := NewLab()
+	ack, queens := bench.ByName("ackermann"), bench.ByName("queens")
+	want := map[*Measurement]bool{}
+	for _, p := range []struct {
+		b    *bench.Benchmark
+		spec *isa.Spec
+	}{{queens, isa.DLXe()}, {ack, isa.DLXe()}, {ack, isa.D16()}} {
+		m, err := lab.Measure(p.b, p.spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[m] = true
+	}
+	if _, err := lab.CacheSweep(ack, isa.D16(), []cache.Config{cache.PaperConfig(1024)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := lab.PipelineRun(ack, isa.D16(), []pipeline.Config{{BusBytes: 4}}); err != nil {
+		t.Fatal(err)
+	}
+	budget := *ack
+	budget.MaxInstrs = 1000
+	_, err1 := lab.Measure(&budget, isa.D16())
+	if err1 == nil {
+		t.Fatal("a 1000-instruction budget did not fail ackermann")
+	}
+	if _, err2 := lab.Measure(&budget, isa.D16()); err2 == nil || err2.Error() != err1.Error() {
+		t.Errorf("second failing Measure error %v, first %v", err2, err1)
+	}
+	if n := lab.Scheduler().Metrics().Failed.Value(); n != 2 {
+		t.Errorf("%d failed jobs, want 2: the failure must run again, not be served from a table", n)
+	}
+
+	got := lab.Measurements()
+	if len(got) != len(want) {
+		t.Fatalf("%d measurements, want %d", len(got), len(want))
+	}
+	for i, m := range got {
+		if !want[m] {
+			t.Errorf("measurement %d (%s on %s) is not one Measure returned", i, m.Bench, m.Spec.Name)
+		}
+		if i > 0 {
+			prev := got[i-1]
+			if prev.Bench > m.Bench || prev.Bench == m.Bench && prev.Spec.Name >= m.Spec.Name {
+				t.Errorf("measurements %d and %d out of order: %s/%s, %s/%s",
+					i-1, i, prev.Bench, prev.Spec.Name, m.Bench, m.Spec.Name)
+			}
+		}
+	}
+	if n := lab.Scheduler().Cache().Len(); n != len(want)+2 {
+		t.Errorf("result cache holds %d entries, want %d measurements + 2 runs", n, len(want))
 	}
 }
 

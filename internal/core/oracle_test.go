@@ -42,8 +42,8 @@ func attachOracles(m *sim.Machine) *oracles {
 }
 
 // checkCounters asserts, after a run with attachOracles' observers,
-// the identities Measure and BusProfile rely on: each bus model read
-// off the loop's counters equals the observed one of its width (so
+// the identities Measure and its BusProfile view rely on: each bus
+// model read off the loop's counters equals the observed one of its width (so
 // every width sees exactly one data request per load or store), and
 // the count-weighted immediate classification equals the observed one
 // field by field.
@@ -149,18 +149,25 @@ func TestBusCounterSelfSlot(t *testing.T) {
 	}
 }
 
-// TestBusProfileMatchesObservers checks BusProfile's split between
-// widths read off the loop's counters (2, 4, 8) and widths that still
-// observe (16): every model equals a NoCache observer of its width on
-// a direct run.
+// TestBusProfileMatchesObservers checks Measurement.BusProfile, which
+// reads every width off the loop's counters, against a NoCache
+// observer of each counted width on a direct run, on both encodings.
+// A width the loop does not count is an error.
 func TestBusProfileMatchesObservers(t *testing.T) {
 	lab := NewLab()
 	b := bench.ByName("towers")
-	widths := []uint32{16, 8, 4, 2}
+	widths := []uint32{8, 4, 2}
 	for _, spec := range []*isa.Spec{isa.D16(), isa.DLXe()} {
-		p, err := lab.BusProfile(b, spec, widths)
+		ms, err := lab.Measure(b, spec)
 		if err != nil {
 			t.Fatal(err)
+		}
+		p, err := ms.BusProfile(widths)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Output != ms.Output || p.Stats != ms.Stats {
+			t.Errorf("%s: the profile's run differs from its measurement's", spec.Name)
 		}
 		c, err := lab.Compile(b, spec)
 		if err != nil {
@@ -183,6 +190,10 @@ func TestBusProfileMatchesObservers(t *testing.T) {
 				t.Errorf("%s: %d-byte bus %d/%d requests, observed %d/%d",
 					spec.Name, widths[i], got.IRequests, got.DRequests, want[i].IRequests, want[i].DRequests)
 			}
+		}
+		_, err = ms.BusProfile([]uint32{4, 16})
+		if err == nil || !strings.Contains(err.Error(), "2-, 4- and 8-byte") {
+			t.Errorf("%s: 16-byte bus profile error %v, want one naming the counted widths", spec.Name, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 
 	"repro/internal/isa"
@@ -64,18 +65,76 @@ func AccountPoint(benchName, cfgName string, c *mcc.Compiled, e *pipeline.Engine
 // same ℓ = 0..3 range SummaryRow reports CPI over.
 var pointWaits = []int64{0, 1, 2, 3}
 
+// pointBuses are the fetch-bus widths a measurement's own points cover:
+// the 32- and 64-bit buses of Bus32 and Bus64.
+var pointBuses = []uint32{4, 8}
+
 // Points expands one measurement into its columnar store points: one
 // point per cacheless memory interface (32- and 64-bit fetch bus) per
 // wait-state count, with the Appendix A cycle attribution (see
 // appendixPoints).
 func (m *Measurement) Points() []store.Point {
-	return appendixPoints(store.Point{
+	p, err := m.BusProfile(pointBuses)
+	if err != nil {
+		panic(err) // unreachable: the run loop counts both widths
+	}
+	return p.Points(pointWaits)
+}
+
+// BusProfile is one execution seen through cacheless fetch-bus models
+// of several widths at once, from which the closed-form Appendix A
+// model expands cycles for any wait-state count. It is the sweep
+// engine's workhorse — a B-bus × W-wait-state grid costs one run, not
+// B×W. Measurement.BusProfile derives one from a measurement.
+type BusProfile struct {
+	Bench  string
+	Spec   *isa.Spec
+	Output string
+	Stats  sim.Stats
+
+	BusBytes []uint32          // the requested widths, in request order
+	Buses    []*memsys.NoCache // parallel to BusBytes
+
+	SizeBytes    int
+	TextBytes    int
+	StaticInstrs int
+}
+
+// BusProfile views the measurement through a cacheless bus model per
+// requested width, each read off the run loop's fetch-block counters
+// (see loopBus). The loop counts 2-, 4- and 8-byte buses; any other
+// width is an error.
+func (m *Measurement) BusProfile(widths []uint32) (*BusProfile, error) {
+	p := &BusProfile{
 		Bench:        m.Bench,
-		Config:       m.Spec.Name,
-		SizeBytes:    int64(m.Size),
-		TextBytes:    int64(m.TextBytes),
-		StaticInstrs: int64(m.StaticInstrs),
-	}, m.Stats, []*memsys.NoCache{m.Bus32, m.Bus64}, pointWaits)
+		Spec:         m.Spec,
+		Output:       m.Output,
+		Stats:        m.Stats,
+		BusBytes:     widths,
+		Buses:        make([]*memsys.NoCache, len(widths)),
+		SizeBytes:    m.Size,
+		TextBytes:    m.TextBytes,
+		StaticInstrs: m.StaticInstrs,
+	}
+	for i, w := range widths {
+		if p.Buses[i] = loopBus(m.Stats, w); p.Buses[i] == nil {
+			return nil, fmt.Errorf("core: no %d-byte bus model: the run loop counts 2-, 4- and 8-byte buses", w)
+		}
+	}
+	return p, nil
+}
+
+// Points expands the profile into store points over the wait-state
+// grid: one point per (bus width, wait states), with the Appendix A
+// cycle attribution (see appendixPoints).
+func (p *BusProfile) Points(waits []int64) []store.Point {
+	return appendixPoints(store.Point{
+		Bench:        p.Bench,
+		Config:       p.Spec.Name,
+		SizeBytes:    int64(p.SizeBytes),
+		TextBytes:    int64(p.TextBytes),
+		StaticInstrs: int64(p.StaticInstrs),
+	}, p.Stats, p.Buses, waits)
 }
 
 // appendixPoints is the one Appendix A expansion of a cacheless run:

@@ -167,27 +167,6 @@ func TestShardEquivalence(t *testing.T) {
 					}
 				}
 			}
-
-			var refBus *BusProfile
-			for i, l := range labs {
-				p, err := l.BusProfile(b, spec, []uint32{4, 16, 32, 64})
-				if err != nil {
-					t.Fatalf("bus profile, lab %d: %v", i, err)
-				}
-				if i == 0 {
-					refBus = p
-					continue
-				}
-				if p.Output != refBus.Output || p.Stats != refBus.Stats {
-					t.Errorf("bus profile: shards=%d run differs from one shard's", l.shards)
-				}
-				for j, bus := range p.Buses {
-					if bus.IRequests != refBus.Buses[j].IRequests || bus.DRequests != refBus.Buses[j].DRequests {
-						t.Errorf("bus profile width %d: shards=%d requests %d/%d, one shard %d/%d", p.BusBytes[j],
-							l.shards, bus.IRequests, bus.DRequests, refBus.Buses[j].IRequests, refBus.Buses[j].DRequests)
-					}
-				}
-			}
 		})
 	}
 }

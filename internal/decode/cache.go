@@ -22,10 +22,9 @@ type entry struct {
 
 var cache = struct {
 	sync.Mutex
-	m            map[key]int // key → slot index
-	slots        []entry
-	hand         int
-	hits, misses int64
+	m     map[key]int // key → slot index
+	slots []entry
+	hand  int
 }{m: map[key]int{}}
 
 // For returns the shared predecoded table for an image, decoding it on
@@ -37,11 +36,9 @@ func For(img *prog.Image) *Text {
 	if i, ok := cache.m[k]; ok {
 		cache.slots[i].used = true
 		t := cache.slots[i].t
-		cache.hits++
 		cache.Unlock()
 		return t
 	}
-	cache.misses++
 	cache.Unlock()
 
 	// Decode outside the lock: concurrent first sights of one image may
@@ -71,12 +68,4 @@ func For(img *prog.Image) *Text {
 		cache.hand = (cache.hand + 1) % cacheCap
 		return t
 	}
-}
-
-// CacheStats reports cumulative hit/miss counts of the shared table
-// cache (for tests and telemetry).
-func CacheStats() (hits, misses int64) {
-	cache.Lock()
-	defer cache.Unlock()
-	return cache.hits, cache.misses
 }

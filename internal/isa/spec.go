@@ -88,11 +88,6 @@ func (s *Spec) MVIRange() (lo, hi int32) {
 // load/store (word displacements scale by 4).
 func (s *Spec) MaxMemDisp() int32 { return (1<<uint(s.MemDispBits) - 1) * 4 }
 
-// BranchRangeBytes returns the ± reach of a conditional branch in bytes.
-func (s *Spec) BranchRangeBytes() int32 {
-	return int32(s.BranchRangeIns) * int32(s.InstrBytes())
-}
-
 // FitsMemDisp reports whether a byte displacement is encodable on a word
 // load/store for this target.
 func (s *Spec) FitsMemDisp(disp int32) bool {

@@ -33,6 +33,20 @@ func (c *Cache) Put(k Key, v any) {
 	c.mu.Unlock()
 }
 
+// Range calls fn with every value cached when it is called, in no
+// particular order. fn runs outside the cache's lock.
+func (c *Cache) Range(fn func(v any)) {
+	c.mu.RLock()
+	vs := make([]any, 0, len(c.m))
+	for _, v := range c.m { //detlint:ignore rangemap callers impose their own order
+		vs = append(vs, v)
+	}
+	c.mu.RUnlock()
+	for _, v := range vs {
+		fn(v)
+	}
+}
+
 // Len returns the number of cached results.
 func (c *Cache) Len() int {
 	c.mu.RLock()

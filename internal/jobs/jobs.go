@@ -21,7 +21,7 @@
 // then releases the workers.
 //
 // Cancellation is cooperative: each job runs under a context derived
-// from the scheduler's lifetime plus the job's timeout, and the context
+// from the scheduler's lifetime plus its default timeout, and the context
 // is checked once more after dequeue, so queued work cancelled during a
 // shutdown never starts. A job function that ignores its context runs
 // to completion; the simulator's own MaxInstrs runaway guard bounds
@@ -52,8 +52,6 @@ type Job struct {
 	// Key is the content address of the result; the zero Key disables
 	// caching and coalescing for this job.
 	Key Key
-	// Timeout bounds execution; 0 uses the scheduler's default.
-	Timeout time.Duration
 	// Fn computes the result. It must respect ctx for cancellation to
 	// be effective and must not submit to the same scheduler (workers
 	// waiting on workers can deadlock the pool).
@@ -69,13 +67,12 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds accepted-but-not-started jobs (default 64).
 	QueueDepth int
-	// DefaultTimeout bounds each job lacking its own (0 = none).
+	// DefaultTimeout bounds each job's execution (0 = none).
 	DefaultTimeout time.Duration
-	// Registry receives the scheduler metrics (default: a private
-	// registry; pass telemetry.Default() to expose them on /metrics).
+	// Registry receives the scheduler metrics, named under the
+	// "jobs." prefix (default: a private registry; pass
+	// telemetry.Default() to expose them on /metrics).
 	Registry *telemetry.Registry
-	// Prefix namespaces the metric names (default "jobs.").
-	Prefix string
 }
 
 // Scheduler runs jobs on a bounded worker pool with memoization.
@@ -130,9 +127,6 @@ func (t *Ticket) Wait(ctx context.Context) (any, error) {
 	}
 }
 
-// Done returns a channel closed when the job completes.
-func (t *Ticket) Done() <-chan struct{} { return t.done }
-
 // Cached reports whether the result came straight from the result cache
 // (only meaningful once the ticket is complete).
 func (t *Ticket) Cached() bool { return t.cached }
@@ -145,9 +139,6 @@ func New(cfg Config) *Scheduler {
 	if cfg.Registry == nil {
 		cfg.Registry = telemetry.NewRegistry()
 	}
-	if cfg.Prefix == "" {
-		cfg.Prefix = "jobs."
-	}
 	s := &Scheduler{
 		cfg:      cfg,
 		cache:    NewCache(),
@@ -156,7 +147,7 @@ func New(cfg Config) *Scheduler {
 		inflight: map[Key]*Ticket{},
 	}
 	s.base, s.cancel = context.WithCancel(context.Background())
-	s.m = newMetrics(cfg.Registry, cfg.Prefix, s.cache, cfg.Workers)
+	s.m = newMetrics(cfg.Registry, s.cache, cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
 		go s.worker()
@@ -187,15 +178,6 @@ func (s *Scheduler) Submit(ctx context.Context, j Job) (*Ticket, error) {
 // with ErrOverloaded.
 func (s *Scheduler) TrySubmit(ctx context.Context, j Job) (*Ticket, error) {
 	return s.submit(ctx, j, false)
-}
-
-// Do submits j and waits for its result.
-func (s *Scheduler) Do(ctx context.Context, j Job) (any, error) {
-	t, err := s.Submit(ctx, j)
-	if err != nil {
-		return nil, err
-	}
-	return t.Wait(ctx)
 }
 
 func (s *Scheduler) submit(ctx context.Context, j Job, wait bool) (*Ticket, error) {
@@ -303,10 +285,7 @@ func (s *Scheduler) run(t *Ticket) {
 
 	ctx := s.base
 	cancel := context.CancelFunc(func() {})
-	if to := t.job.Timeout; to > 0 || s.cfg.DefaultTimeout > 0 {
-		if to <= 0 {
-			to = s.cfg.DefaultTimeout
-		}
+	if to := s.cfg.DefaultTimeout; to > 0 {
 		ctx, cancel = context.WithTimeout(ctx, to)
 	}
 

@@ -12,6 +12,15 @@ import (
 	"repro/internal/telemetry"
 )
 
+// do submits j and waits for its result.
+func do(s *Scheduler, j Job) (any, error) {
+	t, err := s.Submit(context.Background(), j)
+	if err != nil {
+		return nil, err
+	}
+	return t.Wait(context.Background())
+}
+
 func value(n int) func(context.Context) (any, error) {
 	return func(context.Context) (any, error) { return n, nil }
 }
@@ -25,7 +34,7 @@ func TestInlineSubmitExecutesAndCaches(t *testing.T) {
 		return 42, nil
 	}}
 	for i := 0; i < 3; i++ {
-		v, err := s.Do(context.Background(), job)
+		v, err := do(s, job)
 		if err != nil || v.(int) != 42 {
 			t.Fatalf("Do #%d = %v, %v", i, v, err)
 		}
@@ -42,6 +51,35 @@ func TestInlineSubmitExecutesAndCaches(t *testing.T) {
 	}
 }
 
+// TestCacheRangeWhileJobsFinish ranges over the result cache while a
+// pool fills it; once the jobs are done, Range sees every result once.
+func TestCacheRangeWhileJobsFinish(t *testing.T) {
+	s := New(Config{Workers: 2})
+	defer s.Shutdown(context.Background())
+	const n = 32
+	var tks []*Ticket
+	for i := 0; i < n; i++ {
+		tk, err := s.Submit(context.Background(), Job{Name: "v", Key: NewHasher("range").Int(int64(i)).Key(), Fn: value(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tks = append(tks, tk)
+		s.Cache().Range(func(any) {})
+	}
+	for _, tk := range tks {
+		if _, err := tk.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := make([]int, n)
+	s.Cache().Range(func(v any) { seen[v.(int)]++ })
+	for i, c := range seen {
+		if c != 1 {
+			t.Errorf("value %d ranged %d times, want 1", i, c)
+		}
+	}
+}
+
 func TestUncachedJobsAlwaysRun(t *testing.T) {
 	s := New(Config{})
 	var calls atomic.Int64
@@ -50,7 +88,7 @@ func TestUncachedJobsAlwaysRun(t *testing.T) {
 		return nil, nil
 	}}
 	for i := 0; i < 3; i++ {
-		if _, err := s.Do(context.Background(), job); err != nil {
+		if _, err := do(s, job); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -200,7 +238,7 @@ func TestRejectedKeyedJobFailsCoalescedWaiters(t *testing.T) {
 func TestTimeout(t *testing.T) {
 	s := New(Config{Workers: 1, DefaultTimeout: 10 * time.Millisecond})
 	defer s.Shutdown(context.Background())
-	v, err := s.Do(context.Background(), Job{Name: "sleepy", Fn: func(ctx context.Context) (any, error) {
+	v, err := do(s, Job{Name: "sleepy", Fn: func(ctx context.Context) (any, error) {
 		select {
 		case <-ctx.Done():
 			return nil, ctx.Err()
@@ -226,10 +264,10 @@ func TestFailedJobsAreNotCached(t *testing.T) {
 		}
 		return "ok", nil
 	}}
-	if _, err := s.Do(context.Background(), job); err == nil {
+	if _, err := do(s, job); err == nil {
 		t.Fatal("first Do should fail")
 	}
-	v, err := s.Do(context.Background(), job)
+	v, err := do(s, job)
 	if err != nil || v.(string) != "ok" {
 		t.Fatalf("retry = %v, %v; want ok", v, err)
 	}
@@ -238,14 +276,14 @@ func TestFailedJobsAreNotCached(t *testing.T) {
 func TestPanicContained(t *testing.T) {
 	s := New(Config{Workers: 1})
 	defer s.Shutdown(context.Background())
-	_, err := s.Do(context.Background(), Job{Name: "boom", Fn: func(context.Context) (any, error) {
+	_, err := do(s, Job{Name: "boom", Fn: func(context.Context) (any, error) {
 		panic("kaboom")
 	}})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
 		t.Fatalf("Do after panic = %v, want contained panic error", err)
 	}
 	// The worker survives.
-	if v, err := s.Do(context.Background(), Job{Name: "after", Fn: value(7)}); err != nil || v.(int) != 7 {
+	if v, err := do(s, Job{Name: "after", Fn: value(7)}); err != nil || v.(int) != 7 {
 		t.Fatalf("Do after recovery = %v, %v", v, err)
 	}
 }
@@ -312,11 +350,11 @@ func TestKeyDomainsAndFields(t *testing.T) {
 
 func TestMetricsAppearInProm(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	s := New(Config{Workers: 0, Registry: reg, Prefix: "jobs."})
+	s := New(Config{Workers: 0, Registry: reg})
 	k := NewHasher("test").String("m").Key()
 	job := Job{Name: "m", Key: k, Fn: value(1)}
 	for i := 0; i < 2; i++ {
-		if _, err := s.Do(context.Background(), job); err != nil {
+		if _, err := do(s, job); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -334,6 +372,7 @@ func TestMetricsAppearInProm(t *testing.T) {
 		"jobs_cache_misses 1",
 		"jobs_cache_entries 1",
 		"# TYPE jobs_latency_us histogram",
+		"# TYPE jobs_latency_us_p50 gauge",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("WriteProm output missing %q\n%s", want, out)

@@ -3,7 +3,7 @@ package jobs
 import "repro/internal/telemetry"
 
 // Metrics is the scheduler's instrumentation, registered in a
-// telemetry.Registry under one prefix (default "jobs."), so a service
+// telemetry.Registry under the "jobs." prefix, so a service
 // exposing telemetry.WriteProm publishes scheduler health for free:
 //
 //	jobs.queue_depth   gauge      tasks accepted but not yet started
@@ -17,9 +17,11 @@ import "repro/internal/telemetry"
 //	jobs.cache.misses  counter    submissions that had to execute
 //	jobs.cache.entries gauge      results currently cached
 //	jobs.latency_us    histogram  per-job wall-clock execution time (µs)
-//	jobs.queue_wait_us fixed hist submit-to-dequeue wait (µs, pooled
-//	                              mode only) with deterministic
-//	                              p50/p90/p99 exported by WriteProm
+//	jobs.queue_wait_us histogram  submit-to-dequeue wait (µs, pooled
+//	                              mode only)
+//
+// Both histograms are fixed-bound over telemetry.LatencyBounds, so
+// WriteProm exports deterministic p50/p90/p99 for each.
 type Metrics struct {
 	QueueDepth  *telemetry.Gauge
 	InFlight    *telemetry.Gauge
@@ -30,27 +32,30 @@ type Metrics struct {
 	Coalesced   *telemetry.Counter
 	CacheHits   *telemetry.Counter
 	CacheMisses *telemetry.Counter
-	LatencyUS   *telemetry.Histogram
+	LatencyUS   *telemetry.FixedHistogram
 	QueueWaitUS *telemetry.FixedHistogram
 }
 
-// newMetrics binds the metric set into reg under prefix and registers
+// metricPrefix namespaces every scheduler metric.
+const metricPrefix = "jobs."
+
+// newMetrics binds the metric set into reg under metricPrefix and registers
 // the cache-size and worker-count func gauges.
-func newMetrics(reg *telemetry.Registry, prefix string, cache *Cache, workers int) *Metrics {
+func newMetrics(reg *telemetry.Registry, cache *Cache, workers int) *Metrics {
 	m := &Metrics{
-		QueueDepth:  reg.Gauge(prefix + "queue_depth"),
-		InFlight:    reg.Gauge(prefix + "inflight"),
-		Submitted:   reg.Counter(prefix + "submitted"),
-		Done:        reg.Counter(prefix + "done"),
-		Failed:      reg.Counter(prefix + "failed"),
-		Overloaded:  reg.Counter(prefix + "overloaded"),
-		Coalesced:   reg.Counter(prefix + "coalesced"),
-		CacheHits:   reg.Counter(prefix + "cache.hits"),
-		CacheMisses: reg.Counter(prefix + "cache.misses"),
-		LatencyUS:   reg.Histogram(prefix + "latency_us"),
-		QueueWaitUS: reg.FixedHistogram(prefix+"queue_wait_us", telemetry.LatencyBounds),
+		QueueDepth:  reg.Gauge(metricPrefix + "queue_depth"),
+		InFlight:    reg.Gauge(metricPrefix + "inflight"),
+		Submitted:   reg.Counter(metricPrefix + "submitted"),
+		Done:        reg.Counter(metricPrefix + "done"),
+		Failed:      reg.Counter(metricPrefix + "failed"),
+		Overloaded:  reg.Counter(metricPrefix + "overloaded"),
+		Coalesced:   reg.Counter(metricPrefix + "coalesced"),
+		CacheHits:   reg.Counter(metricPrefix + "cache.hits"),
+		CacheMisses: reg.Counter(metricPrefix + "cache.misses"),
+		LatencyUS:   reg.FixedHistogram(metricPrefix+"latency_us", telemetry.LatencyBounds),
+		QueueWaitUS: reg.FixedHistogram(metricPrefix+"queue_wait_us", telemetry.LatencyBounds),
 	}
-	reg.RegisterFunc(prefix+"cache.entries", func() int64 { return int64(cache.Len()) })
-	reg.RegisterFunc(prefix+"workers", func() int64 { return int64(workers) })
+	reg.RegisterFunc(metricPrefix+"cache.entries", func() int64 { return int64(cache.Len()) })
+	reg.RegisterFunc(metricPrefix+"workers", func() int64 { return int64(workers) })
 	return m
 }

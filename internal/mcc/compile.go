@@ -51,12 +51,21 @@ func Compile(file, src string, spec *isa.Spec) (*Compiled, error) {
 	return &Compiled{Spec: spec, Asm: source, Image: img, Spills: spills}, nil
 }
 
+// passBounds are the bucket bounds of the per-pass duration histograms,
+// in nanoseconds: 500ns to 50ms on a 1-2.5-5 ladder. One pass over one
+// function can take well under a microsecond, so the microsecond
+// telemetry.LatencyBounds would put most passes in their first bucket.
+var passBounds = []int64{
+	500, 1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,
+	1_000_000, 2_500_000, 5_000_000, 10_000_000, 25_000_000, 50_000_000,
+}
+
 // timedPass runs one compiler pass, feeding its wall-clock time into the
 // per-pass duration histogram "mcc.pass.<name>.ns".
 func timedPass(name string, f func()) {
 	start := time.Now() //detlint:ignore timenow telemetry-only timing, never feeds output bytes
 	f()
-	telemetry.Default().Histogram("mcc.pass." + name + ".ns").Observe(time.Since(start).Nanoseconds()) //detlint:ignore timenow telemetry-only timing, never feeds output bytes
+	telemetry.Default().FixedHistogram("mcc.pass."+name+".ns", passBounds).Observe(time.Since(start).Nanoseconds()) //detlint:ignore timenow telemetry-only timing, never feeds output bytes
 }
 
 // instrCount is the optimizer's shrinkage measure: IR instructions

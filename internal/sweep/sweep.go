@@ -55,14 +55,14 @@ type Runner struct {
 }
 
 // job tracks one corpus program through the fan-out: its submitted
-// tickets (one bus-profile per config, plus one accounted run per
-// config when the grid has cached cells), or the error that stopped
+// tickets (one measure per config, plus one accounted run per config
+// when the grid has cached cells), or the error that stopped
 // submission.
 type job struct {
 	prog    *synth.Program
 	bench   *bench.Benchmark
 	specs   []*isa.Spec
-	profile []*jobs.Ticket
+	measure []*jobs.Ticket
 	account []*jobs.Ticket
 	stage   string
 	cfg     string
@@ -116,12 +116,12 @@ func (r *Runner) Run(spec *Spec, storePath string) (*Summary, error) {
 			}}
 			jobsList = append(jobsList, j)
 			for _, cfg := range spec.Configs {
-				t, err := r.Lab.BusProfileTicket(ctx, j.bench, cfg, spec.Bus)
+				t, err := r.Lab.MeasureTicket(ctx, j.bench, cfg)
 				if err != nil {
 					j.stage, j.cfg, j.err = "compile", cfg.Name, err
 					break
 				}
-				j.profile = append(j.profile, t)
+				j.measure = append(j.measure, t)
 			}
 			if j.err != nil || len(cells) == 0 {
 				continue
@@ -185,14 +185,16 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 		return nil, j.err
 	}
 	ctx := context.Background()
-	profiles := make([]*core.BusProfile, len(j.profile))
-	for i, t := range j.profile {
+	profiles := make([]*core.BusProfile, len(j.measure))
+	for i, t := range j.measure {
 		v, err := t.Wait(ctx)
+		if err == nil {
+			profiles[i], err = v.(*core.Measurement).BusProfile(spec.Bus)
+		}
 		if err != nil {
 			j.stage, j.cfg, j.err = "run", spec.Configs[i].Name, err
 			return nil, err
 		}
-		profiles[i] = v.(*core.BusProfile)
 	}
 	if err := r.staticGate(logw, spec, j, profiles); err != nil {
 		return nil, err

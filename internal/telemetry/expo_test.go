@@ -12,7 +12,7 @@ func TestWriteProm(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("mcc.compiles").Add(3)
 	r.Gauge("sim.instrs").Set(42)
-	h := r.Histogram("mcc.pass.opt.ns")
+	h := r.FixedHistogram("mcc.pass.opt.ns", []int64{10, 1000})
 	h.Observe(3)
 	h.Observe(900)
 	r.RegisterFunc("live.value", func() int64 { return 7 })
@@ -27,8 +27,8 @@ func TestWriteProm(t *testing.T) {
 		"# TYPE sim_instrs gauge\nsim_instrs 42\n",
 		"# TYPE live_value gauge\nlive_value 7\n",
 		"# TYPE mcc_pass_opt_ns histogram\n",
-		"mcc_pass_opt_ns_bucket{le=\"3\"} 1\n",
-		"mcc_pass_opt_ns_bucket{le=\"1023\"} 2\n",
+		"mcc_pass_opt_ns_bucket{le=\"10\"} 1\n",
+		"mcc_pass_opt_ns_bucket{le=\"1000\"} 2\n",
 		"mcc_pass_opt_ns_bucket{le=\"+Inf\"} 2\n",
 		"mcc_pass_opt_ns_sum 903\n",
 		"mcc_pass_opt_ns_count 2\n",

@@ -4,9 +4,9 @@ import "sync/atomic"
 
 // LatencyBounds are the default fixed bucket upper bounds for latency
 // histograms, in microseconds: 50µs to 10s on a 1-2.5-5 ladder. Fixed
-// bounds (rather than the log2 Histogram) make the exported quantiles
-// deterministic functions of the observation multiset — two runs that
-// observe the same values report the same p50/p90/p99.
+// bounds make the exported quantiles deterministic functions of the
+// observation multiset — two runs that observe the same values report
+// the same p50/p90/p99.
 var LatencyBounds = []int64{
 	50, 100, 250, 500,
 	1_000, 2_500, 5_000, 10_000, 25_000, 50_000, 100_000, 250_000, 500_000,

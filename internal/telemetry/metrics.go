@@ -1,5 +1,5 @@
 // Package telemetry is the repo's zero-dependency observability layer:
-// a metrics registry (counters, gauges, log-scaled histograms), span
+// a metrics registry (counters, gauges, fixed-bound histograms), span
 // tracing with Chrome trace_event export, a generic ring buffer for
 // last-N event capture, and machine-readable experiment results.
 //
@@ -13,8 +13,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
-	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,73 +46,8 @@ func (g *Gauge) Add(d int64) { g.v.Add(d) }
 // Value returns the current value.
 func (g *Gauge) Value() int64 { return g.v.Load() }
 
-// histBuckets is one bucket per power of two: bucket i holds observed
-// values v with bits.Len64(v) == i, i.e. 2^(i-1) <= v < 2^i. Bucket 0
-// holds zero and negative observations.
-const histBuckets = 65
-
-// Histogram accumulates a distribution in log2-scaled buckets, plus
-// count/sum/min/max, all with atomic updates.
-type Histogram struct {
-	count   atomic.Int64
-	sum     atomic.Int64
-	min     atomic.Int64 // valid only when count > 0
-	max     atomic.Int64
-	buckets [histBuckets]atomic.Int64
-}
-
-// newHistogram initializes the min/max sentinels; histograms must be
-// created through a Registry (or NewHistogram) rather than as zero values.
-func newHistogram() *Histogram {
-	h := &Histogram{}
-	h.min.Store(math.MaxInt64)
-	h.max.Store(math.MinInt64)
-	return h
-}
-
-// NewHistogram returns a standalone histogram (outside any registry).
-func NewHistogram() *Histogram { return newHistogram() }
-
-// Observe records one value.
-func (h *Histogram) Observe(v int64) {
-	h.count.Add(1)
-	h.sum.Add(v)
-	for {
-		old := h.min.Load()
-		if v >= old || h.min.CompareAndSwap(old, v) {
-			break
-		}
-	}
-	for {
-		old := h.max.Load()
-		if v <= old || h.max.CompareAndSwap(old, v) {
-			break
-		}
-	}
-	i := 0
-	if v > 0 {
-		i = bits.Len64(uint64(v))
-	}
-	h.buckets[i].Add(1)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() int64 { return h.sum.Load() }
-
-// Mean returns the arithmetic mean of observations (0 when empty).
-func (h *Histogram) Mean() float64 {
-	n := h.count.Load()
-	if n == 0 {
-		return 0
-	}
-	return float64(h.sum.Load()) / float64(n)
-}
-
 // Bucket is one non-empty histogram bucket in a snapshot: Count values
-// observed in [Low, High).
+// observed in (Low, High], where High 0 marks the overflow bucket.
 type Bucket struct {
 	Low   int64 `json:"low"`
 	High  int64 `json:"high"`
@@ -124,12 +57,10 @@ type Bucket struct {
 // Snapshot is the exported state of one metric.
 type Snapshot struct {
 	Name  string   `json:"name"`
-	Kind  string   `json:"kind"` // counter, gauge, histogram, fixed_histogram
+	Kind  string   `json:"kind"` // counter, gauge, fixed_histogram
 	Value int64    `json:"value,omitempty"`
 	Count int64    `json:"count,omitempty"`
 	Sum   int64    `json:"sum,omitempty"`
-	Min   int64    `json:"min,omitempty"`
-	Max   int64    `json:"max,omitempty"`
 	Mean  float64  `json:"mean,omitempty"`
 	Hist  []Bucket `json:"buckets,omitempty"`
 	// P50/P90/P99 are filled for fixed_histogram metrics only: fixed
@@ -149,30 +80,6 @@ func (c *Counter) snapshot(name string) Snapshot {
 
 func (g *Gauge) snapshot(name string) Snapshot {
 	return Snapshot{Name: name, Kind: "gauge", Value: g.Value()}
-}
-
-func (h *Histogram) snapshot(name string) Snapshot {
-	s := Snapshot{Name: name, Kind: "histogram", Count: h.Count(), Sum: h.Sum(), Mean: h.Mean()}
-	if s.Count > 0 {
-		s.Min, s.Max = h.min.Load(), h.max.Load()
-	}
-	for i := 0; i < histBuckets; i++ {
-		n := h.buckets[i].Load()
-		if n == 0 {
-			continue
-		}
-		b := Bucket{Count: n}
-		if i > 0 {
-			b.Low = 1 << (i - 1)
-			if i < 64 {
-				b.High = 1 << i
-			} else {
-				b.High = math.MaxInt64
-			}
-		}
-		s.Hist = append(s.Hist, b)
-	}
-	return s
 }
 
 // funcGauge reads an external value at snapshot time; it costs nothing
@@ -221,11 +128,6 @@ func (r *Registry) Counter(name string) *Counter {
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
 	return lookup(r, name, func() *Gauge { return &Gauge{} })
-}
-
-// Histogram returns the named histogram, creating it on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	return lookup(r, name, newHistogram)
 }
 
 // RegisterFunc publishes fn as a read-only gauge under name, replacing

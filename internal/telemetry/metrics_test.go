@@ -22,7 +22,7 @@ func TestConcurrentCounters(t *testing.T) {
 			defer wg.Done()
 			c := r.Counter("events")
 			g := r.Gauge("level")
-			h := r.Histogram("latency")
+			h := r.FixedHistogram("latency", nil)
 			for i := 0; i < perWorker; i++ {
 				c.Inc()
 				g.Add(1)
@@ -38,7 +38,7 @@ func TestConcurrentCounters(t *testing.T) {
 	if got := r.Gauge("level").Value(); got != workers*perWorker {
 		t.Errorf("gauge = %d, want %d", got, workers*perWorker)
 	}
-	h := r.Histogram("latency")
+	h := r.FixedHistogram("latency", nil)
 	if h.Count() != workers*perWorker {
 		t.Errorf("histogram count = %d, want %d", h.Count(), workers*perWorker)
 	}
@@ -57,30 +57,6 @@ func TestCounterIgnoresNegative(t *testing.T) {
 	c.Add(-3)
 	if c.Value() != 5 {
 		t.Errorf("counter = %d, want 5", c.Value())
-	}
-}
-
-func TestHistogramMinMaxBuckets(t *testing.T) {
-	h := NewHistogram()
-	for _, v := range []int64{7, 1, 0, 900, 16} {
-		h.Observe(v)
-	}
-	s := h.snapshot("h")
-	if s.Min != 0 || s.Max != 900 {
-		t.Errorf("min/max = %d/%d, want 0/900", s.Min, s.Max)
-	}
-	if s.Count != 5 || s.Sum != 924 {
-		t.Errorf("count/sum = %d/%d, want 5/924", s.Count, s.Sum)
-	}
-	// 16 lands in [16,32); 900 in [512,1024); 0 in the zero bucket.
-	want := map[int64]int64{0: 1, 1: 1, 4: 1, 16: 1, 512: 1}
-	for _, b := range s.Hist {
-		if want[b.Low] != b.Count {
-			t.Errorf("bucket low=%d count=%d unexpected", b.Low, b.Count)
-		}
-		if b.Low > 0 && !(b.Low <= 900 && b.High > b.Low) {
-			t.Errorf("malformed bucket %+v", b)
-		}
 	}
 }
 

@@ -87,10 +87,6 @@ type Report struct {
 // OK reports whether the image passed every check.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
 
-// Reachable reports whether the verifier proved pc reachable. Dynamic
-// execution can exceed this set only through indirect jumps.
-func (r *Report) Reachable(pc uint32) bool { return r.reachable[pc] }
-
 // Err returns nil for a clean report and an *Error otherwise.
 func (r *Report) Err() error {
 	if r.OK() {
