@@ -6,12 +6,18 @@
 TMP := /tmp/repro-make
 BIN := $(TMP)/bin
 
-.PHONY: check build bench-build test vet lint verify fuzz-short smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench bench-smoke clean
+.PHONY: check build bench-build test vet fmt lint verify fuzz-short smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench bench-smoke clean
 
-check: vet lint build bench-build test fuzz-short verify smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench-smoke
+check: vet fmt lint build bench-build test fuzz-short verify smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench-smoke
 
 vet:
 	go vet ./...
+
+# Formatting gate: fails, listing the files, when any Go file in the
+# tree (the benchmark module included) is not gofmt-clean.
+fmt:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l lists:"; echo "$$out"; exit 1; fi
+	@echo "fmt ok: gofmt -l lists no file"
 
 # Determinism linter: no map-order iteration, wall-clock reads or
 # math/rand in packages whose output must be byte-identical (see

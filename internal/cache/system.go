@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"repro/internal/decode"
 	"repro/internal/isa"
 	"repro/internal/telemetry"
 )
@@ -48,19 +49,22 @@ func NewSystem(icfg, dcfg Config) (*System, error) {
 // instruction cache at its own address. Because validity is per
 // sub-block, two 16-bit instructions in one word cost one fill, which is
 // exactly the D16 density advantage the paper measures.
-func (s *System) Exec(pc uint32, _ isa.Instr) { s.I.Read(pc) }
+func (s *System) Exec(pc uint32, _ decode.Op) { s.I.Read(pc) }
 
-// Load implements sim.Observer. Text-segment reads (D16 ldc literal-pool
-// loads) go through the instruction cache: literals sit adjacent to the
-// code that references them and are fetched on the instruction side, so
-// they share the I-stream's locality instead of polluting the data cache.
-func (s *System) Load(addr uint32, _ uint32) {
+// Read probes the cache a data read of addr goes through and reports
+// whether it missed. Text-segment reads (D16 ldc literal-pool loads) go
+// through the instruction cache: literals sit adjacent to the code that
+// references them and are fetched on the instruction side, so they share
+// the I-stream's locality instead of polluting the data cache.
+func (s *System) Read(addr uint32) (miss bool) {
 	if addr < isa.DataBase {
-		s.I.Read(addr)
-		return
+		return s.I.Read(addr)
 	}
-	s.D.Read(addr)
+	return s.D.Read(addr)
 }
+
+// Load implements sim.Observer (see Read).
+func (s *System) Load(addr uint32, _ uint32) { s.Read(addr) }
 
 // Store implements sim.Observer.
 func (s *System) Store(addr uint32, _ uint32) { s.D.Write(addr) }

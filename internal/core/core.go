@@ -5,7 +5,7 @@
 // The central type is Lab, a memoizing measurement harness: it compiles a
 // benchmark for a target configuration once, runs it once with the
 // standard models filled in (fetch-buffer models for both bus widths and
-// the immediate-field classifier, all read off the run loop's counters),
+// Table 4's immediate statistics, all read off the run loop's counters),
 // and caches the result, so each of the paper's tables and figures
 // re-reads the same underlying run. A BusProfile, the cacheless view
 // sweeps expand, is derived from that same measurement.
@@ -33,6 +33,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/decode"
 	"repro/internal/isa"
 	"repro/internal/jobs"
 	"repro/internal/mcc"
@@ -67,8 +68,8 @@ type Measurement struct {
 	Bus32 *memsys.NoCache // 32-bit fetch bus
 	Bus64 *memsys.NoCache // 64-bit fetch bus
 
-	// Immediate-field classification (Table 4), from the run's
-	// per-instruction execution counts (see execImm).
+	// Immediate-field classification (Table 4), read off the run
+	// loop's class counters (see loopImm).
 	Imm ImmStats
 
 	Image *prog.Image
@@ -90,8 +91,8 @@ func (m *Measurement) CPI(busBytes uint32, waitStates int64) float64 {
 }
 
 // ImmStats counts dynamic instructions whose immediate operands exceed
-// the D16 field limits (the paper's Table 4 classification), measured on
-// a DLXe execution.
+// the D16 field limits (the paper's Table 4 classification, whose one
+// rule is isa.ImmClassOf), measured on a DLXe execution.
 type ImmStats struct {
 	Total    int64
 	CmpImm   int64 // compare-immediate instructions
@@ -102,59 +103,30 @@ type ImmStats struct {
 	FarCalls int64 // J-type calls/jumps (D16 uses a pool load + register jump)
 }
 
-// Exec implements sim.Observer: it classifies one executed instruction
-// by the Table 4 rule, the one source execImm also counts with.
-func (s *ImmStats) Exec(pc uint32, in isa.Instr) {
+// Exec implements sim.Observer: it counts one executed instruction by
+// its predecoded Table 4 class.
+func (s *ImmStats) Exec(_ uint32, op decode.Op) {
 	s.Total++
-	switch {
-	case in.Op == isa.CMP && in.HasImm:
-		s.CmpImm++
-		if in.Imm >= 0 && in.Imm <= 255 {
-			s.CmpImm8++
-		}
-	case in.Op == isa.MVI && (in.Imm < -256 || in.Imm > 255):
-		s.WideMVI++
-	case in.Op == isa.MVHI:
-		s.WideMVI++
-	case in.Op == isa.ANDI || in.Op == isa.ORI || in.Op == isa.XORI:
-		s.WideALU++
-	case (in.Op == isa.ADDI || in.Op == isa.SUBI) && (in.Imm < 0 || in.Imm > 31):
-		s.WideALU++
-	case in.Op.IsLoad() || in.Op.IsStore():
-		sub := in.Op != isa.LD && in.Op != isa.ST
-		if sub && in.Imm != 0 {
-			s.WideMem++
-		} else if !sub && (in.Imm < 0 || in.Imm > 124) {
-			s.WideMem++
-		}
-	case (in.Op == isa.J || in.Op == isa.JL) && in.HasImm:
-		s.FarCalls++
+	s.add(op.Imm, 1)
+}
+
+// add counts n instructions of class c.
+func (s *ImmStats) add(c isa.ImmClass, n int64) {
+	switch c {
+	case isa.ImmCmp8:
+		s.CmpImm += n
+		s.CmpImm8 += n
+	case isa.ImmCmp:
+		s.CmpImm += n
+	case isa.ImmWideALU:
+		s.WideALU += n
+	case isa.ImmWideMem:
+		s.WideMem += n
+	case isa.ImmWideMVI:
+		s.WideMVI += n
+	case isa.ImmFarCall:
+		s.FarCalls += n
 	}
-}
-
-// addTimes adds n times o's counts to s.
-func (s *ImmStats) addTimes(o *ImmStats, n int64) {
-	s.Total += n * o.Total
-	s.CmpImm += n * o.CmpImm
-	s.CmpImm8 += n * o.CmpImm8
-	s.WideALU += n * o.WideALU
-	s.WideMem += n * o.WideMem
-	s.WideMVI += n * o.WideMVI
-	s.FarCalls += n * o.FarCalls
-}
-
-// execImm is the Table 4 classification of a finished counting run
-// (sim.Machine.CountExecs): each executed instruction classified once
-// by Exec and weighted by its execution count. TestBusCounterIdentity
-// holds it to an attached ImmStats observer.
-func execImm(m *sim.Machine) ImmStats {
-	var s ImmStats
-	m.ExecCounts(func(in isa.Instr, n int64) {
-		var one ImmStats
-		one.Exec(0, in)
-		s.addTimes(&one, n)
-	})
-	return s
 }
 
 // Load implements sim.Observer.
@@ -328,10 +300,9 @@ func await[T any](t *jobs.Ticket, err error) (T, error) {
 // run is core's one simulation site. It executes a compiled benchmark
 // with obs attached, inside a span named after the run kind with a
 // nested "run" span around the loop itself, stops at the benchmark's
-// instruction budget, and checks the output against b.Expect. When imm
-// is non-nil the run counts executions and fills it with their Table 4
-// classification. It holds no lab locks: concurrent runs of distinct
-// points are the scheduler's normal mode.
+// instruction budget, and checks the output against b.Expect. It holds
+// no lab locks: concurrent runs of distinct points are the scheduler's
+// normal mode.
 //
 // A run with several observers executes as up to l.shards shards: the
 // observers are dealt round-robin into groups, and each group rides its
@@ -340,7 +311,7 @@ func await[T any](t *jobs.Ticket, err error) (T, error) {
 // Every observer sees the same instruction stream it would see on one
 // machine, so the shards must agree on output and statistics (see
 // agree), which makes every sharded run a determinism check.
-func (l *Lab) run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, imm *ImmStats, obs ...sim.Observer) (string, sim.Stats, error) {
+func (l *Lab) run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compiled, obs ...sim.Observer) (string, sim.Stats, error) {
 	k := max(1, min(len(obs), l.shards))
 	id := []telemetry.Attr{telemetry.String("bench", b.Name), telemetry.String("config", spec.Name)}
 	span := telemetry.StartSpan(kind, append(id,
@@ -357,10 +328,10 @@ func (l *Lab) run(kind string, b *bench.Benchmark, spec *isa.Spec, c *mcc.Compil
 		go func(s *shard, lane int) {
 			defer wg.Done()
 			defer func() { s.panicked = recover() }()
-			s.exec(b, c, nil, lane, id)
+			s.exec(b, c, lane, id)
 		}(&shards[i], 1+i)
 	}
-	shards[0].exec(b, c, imm, 1, id)
+	shards[0].exec(b, c, 1, id)
 	wg.Wait()
 	// A shard's panic resurfaces on the job's goroutine, where the
 	// scheduler's recover turns it into the job's error.
@@ -384,7 +355,7 @@ type shard struct {
 
 // exec runs the benchmark on a pooled machine with the shard's
 // observers attached, recording the loop's span on the given trace lane.
-func (s *shard) exec(b *bench.Benchmark, c *mcc.Compiled, imm *ImmStats, lane int, id []telemetry.Attr) {
+func (s *shard) exec(b *bench.Benchmark, c *mcc.Compiled, lane int, id []telemetry.Attr) {
 	machine, err := sim.Acquire(c.Image)
 	if err != nil {
 		s.err = err
@@ -393,9 +364,6 @@ func (s *shard) exec(b *bench.Benchmark, c *mcc.Compiled, imm *ImmStats, lane in
 	defer sim.Release(machine)
 	for _, o := range s.obs {
 		machine.Attach(o)
-	}
-	if imm != nil {
-		machine.CountExecs()
 	}
 	rspan := telemetry.StartSpanOn(lane, "run", id...)
 	err = machine.Run(b.MaxInstrs)
@@ -408,9 +376,6 @@ func (s *shard) exec(b *bench.Benchmark, c *mcc.Compiled, imm *ImmStats, lane in
 	if b.Expect != "" && out != b.Expect {
 		s.err = fmt.Errorf("output %q, want %q", out, b.Expect)
 		return
-	}
-	if imm != nil {
-		*imm = execImm(machine)
 	}
 	s.out, s.stats = out, machine.Stats
 }
@@ -458,6 +423,17 @@ func loopBus(st sim.Stats, width uint32) *memsys.NoCache {
 	return &memsys.NoCache{BusBytes: width, IRequests: n, DRequests: st.DataOps()}
 }
 
+// loopImm is the Table 4 classification read off the run loop's class
+// counters (sim.Stats.Imm). TestBusCounterIdentity holds it to an
+// attached ImmStats observer.
+func loopImm(st sim.Stats) ImmStats {
+	s := ImmStats{Total: st.Instrs}
+	for c, n := range st.Imm {
+		s.add(isa.ImmClass(c), n)
+	}
+	return s
+}
+
 // Measure compiles and runs one benchmark under one configuration (with
 // memoization). It attaches no observer: both bus models and the
 // immediate classification are read off the run loop's counters.
@@ -495,10 +471,11 @@ func (l *Lab) measureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.S
 			Image:        c.Image,
 		}
 		var err error
-		if m.Output, m.Stats, err = l.run("measure", b, spec, c, &m.Imm); err != nil {
+		if m.Output, m.Stats, err = l.run("measure", b, spec, c); err != nil {
 			return nil, err
 		}
 		m.Bus32, m.Bus64 = loopBus(m.Stats, 4), loopBus(m.Stats, 8)
+		m.Imm = loopImm(m.Stats)
 		return m, nil
 	})
 }
@@ -525,7 +502,7 @@ func (l *Lab) CacheSweep(b *bench.Benchmark, spec *isa.Spec, cfgs []cache.Config
 				}
 				systems[i], obs[i] = sys, sys
 			}
-			_, _, err := l.run("cache-sweep", b, spec, c, nil, obs...)
+			_, _, err := l.run("cache-sweep", b, spec, c, obs...)
 			return systems, err
 		}))
 }
@@ -551,7 +528,7 @@ func (l *Lab) PipelineRun(b *bench.Benchmark, spec *isa.Spec, cfgs []pipeline.Co
 				engines[i] = pipeline.New(cfg)
 				obs[i] = engines[i]
 			}
-			_, _, err := l.run("pipeline-run", b, spec, c, nil, obs...)
+			_, _, err := l.run("pipeline-run", b, spec, c, obs...)
 			return engines, err
 		}))
 }
@@ -606,7 +583,7 @@ func (l *Lab) AccountTicket(ctx context.Context, b *bench.Benchmark, spec *isa.S
 			acct.Engines = append(acct.Engines, e)
 			obs[i] = e
 		}
-		_, _, err := l.run("account-run", b, spec, c, nil, obs...)
+		_, _, err := l.run("account-run", b, spec, c, obs...)
 		return acct, err
 	})
 }

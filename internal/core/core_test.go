@@ -258,34 +258,3 @@ func TestPipelineRunKeyCoversRecordDepth(t *testing.T) {
 		t.Errorf("recording changed the cycles: %d without, %d with", plain[0].Cycles(), recorded[0].Cycles())
 	}
 }
-
-func TestImmStatsClassification(t *testing.T) {
-	var s ImmStats
-	exec := func(in isa.Instr) { s.Exec(0x1000, in) }
-	exec(isa.Instr{Op: isa.CMP, Cond: isa.LT, Rd: isa.R(3), Rs1: isa.R(4), Imm: 100, HasImm: true})
-	exec(isa.Instr{Op: isa.CMP, Cond: isa.LT, Rd: isa.R(3), Rs1: isa.R(4), Imm: 1000, HasImm: true})
-	exec(isa.Instr{Op: isa.ADDI, Rd: isa.R(3), Rs1: isa.R(3), Imm: 7, HasImm: true})
-	exec(isa.Instr{Op: isa.ADDI, Rd: isa.R(3), Rs1: isa.R(3), Imm: 77, HasImm: true})
-	exec(isa.Instr{Op: isa.ORI, Rd: isa.R(3), Rs1: isa.R(3), Imm: 1, HasImm: true})
-	exec(isa.Instr{Op: isa.LD, Rd: isa.R(3), Rs1: isa.R(2), Imm: 120})
-	exec(isa.Instr{Op: isa.LD, Rd: isa.R(3), Rs1: isa.R(2), Imm: 128})
-	exec(isa.Instr{Op: isa.LDB, Rd: isa.R(3), Rs1: isa.R(2), Imm: 1})
-	exec(isa.Instr{Op: isa.MVI, Rd: isa.R(3), Imm: 300, HasImm: true})
-	exec(isa.Instr{Op: isa.JL, Imm: 400, HasImm: true})
-
-	if s.Total != 10 {
-		t.Errorf("total %d", s.Total)
-	}
-	if s.CmpImm != 2 || s.CmpImm8 != 1 {
-		t.Errorf("cmp counts %d/%d, want 2/1", s.CmpImm, s.CmpImm8)
-	}
-	if s.WideALU != 2 { // addi 77 (beyond 5 bits) and ori
-		t.Errorf("wide ALU %d, want 2", s.WideALU)
-	}
-	if s.WideMem != 2 { // ld 128 and ldb with nonzero offset
-		t.Errorf("wide mem %d, want 2", s.WideMem)
-	}
-	if s.WideMVI != 1 || s.FarCalls != 1 {
-		t.Errorf("mvi/farcall %d/%d, want 1/1", s.WideMVI, s.FarCalls)
-	}
-}

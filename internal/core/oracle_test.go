@@ -27,8 +27,7 @@ type oracles struct {
 	imm   ImmStats
 }
 
-// attachOracles attaches the oracle observers to m and turns on the
-// execution counting execImm reads.
+// attachOracles attaches the oracle observers to m.
 func attachOracles(m *sim.Machine) *oracles {
 	o := &oracles{}
 	for _, w := range loopWidths {
@@ -37,7 +36,6 @@ func attachOracles(m *sim.Machine) *oracles {
 		m.Attach(bus)
 	}
 	m.Attach(&o.imm)
-	m.CountExecs()
 	return o
 }
 
@@ -45,8 +43,8 @@ func attachOracles(m *sim.Machine) *oracles {
 // the identities Measure and its BusProfile view rely on: each bus
 // model read off the loop's counters equals the observed one of its width (so
 // every width sees exactly one data request per load or store), and
-// the count-weighted immediate classification equals the observed one
-// field by field.
+// the immediate classification read off the loop's class counters
+// equals the observed one field by field.
 func checkCounters(t *testing.T, name string, m *sim.Machine, o *oracles) {
 	t.Helper()
 	for i, w := range loopWidths {
@@ -56,8 +54,8 @@ func checkCounters(t *testing.T, name string, m *sim.Machine, o *oracles) {
 				name, got.BusBytes, got.IRequests, got.DRequests, want.BusBytes, want.IRequests, want.DRequests)
 		}
 	}
-	if got := execImm(m); got != o.imm {
-		t.Errorf("%s: count-derived immediates %+v, observed %+v", name, got, o.imm)
+	if got := loopImm(m.Stats); got != o.imm {
+		t.Errorf("%s: counter-derived immediates %+v, observed %+v", name, got, o.imm)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cache"
+	"repro/internal/decode"
 	"repro/internal/isa"
 	"repro/internal/mcc"
 	"repro/internal/pipeline"
@@ -218,7 +219,7 @@ func TestShardFailuresMatchOneShard(t *testing.T) {
 // panicky is an observer that panics on its first instruction.
 type panicky struct{}
 
-func (panicky) Exec(uint32, isa.Instr) { panic("observer exploded") }
+func (panicky) Exec(uint32, decode.Op) { panic("observer exploded") }
 func (panicky) Load(uint32, uint32)    {}
 func (panicky) Store(uint32, uint32)   {}
 
@@ -232,7 +233,7 @@ func TestShardPanicIsJobError(t *testing.T) {
 		before := runtime.NumGoroutine()
 		_, err := await[any](l.submit(context.Background(), false, "panic-run", b, spec, nil,
 			func(c *mcc.Compiled) (any, error) {
-				_, _, err := l.run("panic-run", b, spec, c, nil, pipeline.New(pipeline.Config{BusBytes: 4}), panicky{})
+				_, _, err := l.run("panic-run", b, spec, c, pipeline.New(pipeline.Config{BusBytes: 4}), panicky{})
 				return nil, err
 			}))
 		if err == nil || !strings.HasPrefix(err.Error(), "jobs: ") || !strings.Contains(err.Error(), "panicked: observer exploded") {

@@ -6,9 +6,10 @@
 // machine construction — once per measurement point — and to re-derive
 // each instruction's register sources, destination and result latency
 // from the decoded form on every executed instruction. Both costs are
-// static properties of the image, so this package computes them exactly
-// once per distinct image: Decode produces an immutable Text whose Ops
-// table is indexed directly by (pc-TextBase)>>Shift, and For memoizes
+// static properties of the image, as is each instruction's Table 4
+// immediate class, so this package computes them exactly once per
+// distinct image: Decode produces an immutable Text whose Ops table is
+// indexed directly by (pc-TextBase)>>Shift, and For memoizes
 // Texts in a bounded, content-addressed cache (the verifier already
 // proves every reachable word of a compiled image decodes, so sharing
 // the table read-only across any number of machines is safe).
@@ -24,6 +25,7 @@ package decode
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"unsafe"
 
 	"repro/internal/d16"
 	"repro/internal/dlxe"
@@ -72,13 +74,18 @@ type Op struct {
 	Lat uint8
 	// Flags is the F* bitmask.
 	Flags uint8
+	// Imm is isa.ImmClassOf(In), the instruction's Table 4 class.
+	Imm isa.ImmClass
 }
 
-// Meta fills op's metadata fields (everything but In, which must be set)
-// from the decoded instruction. It is the single derivation rule shared
-// by table predecoding and by timing models that synthesize metadata for
-// an instruction outside a predecoded table.
-func Meta(in isa.Instr, op *Op) {
+// The run loop copies an Op out of the shared table by value on every
+// instruction, so Op must stay 24 bytes: this fails to compile otherwise.
+var _ [0]struct{} = [unsafe.Sizeof(Op{}) - 24]struct{}{}
+
+// meta fills op's metadata fields (everything but In, which must be set)
+// from the decoded instruction: the one derivation rule for every
+// predecoded op.
+func meta(in isa.Instr, op *Op) {
 	// Source registers, mirroring isa.Instr.Uses (which the test suite
 	// pins this against) without its append callback: pick the case's
 	// register pair, then compact so the first valid source lands in U1.
@@ -105,6 +112,7 @@ func Meta(in isa.Instr, op *Op) {
 	op.U1, op.U2 = uint8(a), uint8(b)
 	op.Def = uint8(in.Def())
 	op.Lat = uint8(isa.ResultLatency(in.Op))
+	op.Imm = isa.ImmClassOf(in)
 	op.Flags = 0
 	switch {
 	case in.Op == isa.NOP:
@@ -118,15 +126,6 @@ func Meta(in isa.Instr, op *Op) {
 	case in.Op == isa.RDSR:
 		op.Flags |= FRDSR
 	}
-}
-
-// Synth returns the predecoded form of one instruction (for callers
-// operating outside a shared table, e.g. a timing model fed through the
-// generic observer interface).
-func Synth(in isa.Instr) Op {
-	op := Op{In: in}
-	Meta(in, &op)
-	return op
 }
 
 // Text is one image's immutable predecoded text segment. It is shared
@@ -184,7 +183,7 @@ func Decode(img *prog.Image) *Text {
 			continue
 		}
 		t.Ops[i].In = in
-		Meta(in, &t.Ops[i])
+		meta(in, &t.Ops[i])
 	}
 	return t
 }

@@ -13,6 +13,7 @@
 package memsys
 
 import (
+	"repro/internal/decode"
 	"repro/internal/isa"
 	"repro/internal/telemetry"
 )
@@ -45,7 +46,7 @@ func (n *NoCache) K(enc isa.Encoding) int64 {
 }
 
 // Exec implements sim.Observer.
-func (n *NoCache) Exec(pc uint32, _ isa.Instr) {
+func (n *NoCache) Exec(pc uint32, _ decode.Op) {
 	block := pc &^ (n.BusBytes - 1)
 	if !n.have || block != n.bufAddr {
 		n.IRequests++

@@ -3,6 +3,7 @@ package memsys
 import (
 	"testing"
 
+	"repro/internal/decode"
 	"repro/internal/isa"
 )
 
@@ -12,8 +13,8 @@ func TestSequentialFetchBuffering(t *testing.T) {
 	n32 := NewNoCache(4)
 	n64 := NewNoCache(8)
 	for pc := uint32(0x1000); pc < 0x1010; pc += 2 {
-		n32.Exec(pc, isa.Instr{})
-		n64.Exec(pc, isa.Instr{})
+		n32.Exec(pc, decode.Op{})
+		n64.Exec(pc, decode.Op{})
 	}
 	if n32.IRequests != 4 {
 		t.Errorf("32-bit bus requests = %d, want 4", n32.IRequests)
@@ -31,9 +32,9 @@ func TestSequentialFetchBuffering(t *testing.T) {
 
 func TestBranchFlushesBuffer(t *testing.T) {
 	n := NewNoCache(4)
-	n.Exec(0x1000, isa.Instr{})
-	n.Exec(0x2000, isa.Instr{}) // taken branch to another block
-	n.Exec(0x1000, isa.Instr{}) // back again: buffer held 0x2000's block
+	n.Exec(0x1000, decode.Op{})
+	n.Exec(0x2000, decode.Op{}) // taken branch to another block
+	n.Exec(0x1000, decode.Op{}) // back again: buffer held 0x2000's block
 	if n.IRequests != 3 {
 		t.Errorf("requests = %d, want 3", n.IRequests)
 	}
@@ -42,7 +43,7 @@ func TestBranchFlushesBuffer(t *testing.T) {
 func TestCyclesFormula(t *testing.T) {
 	n := NewNoCache(4)
 	for pc := uint32(0x1000); pc < 0x1028; pc += 4 { // 10 DLXe instructions
-		n.Exec(pc, isa.Instr{})
+		n.Exec(pc, decode.Op{})
 	}
 	n.Load(0x4000, 4)
 	n.Store(0x4004, 4)

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/isa"
+	"repro/internal/decode"
 )
 
 // Property: over any execution trace, a wider bus never issues more
@@ -20,8 +20,8 @@ func TestWiderBusNeverFetchesMore(t *testing.T) {
 			} else {
 				pc += 2
 			}
-			n32.Exec(pc, isa.Instr{})
-			n64.Exec(pc, isa.Instr{})
+			n32.Exec(pc, decode.Op{})
+			n64.Exec(pc, decode.Op{})
 		}
 		return n64.IRequests <= n32.IRequests
 	}
@@ -36,7 +36,7 @@ func TestCyclesMonotoneInWaitStates(t *testing.T) {
 	f := func(pcs []uint16, instrs uint16, interlocks uint8) bool {
 		n := NewNoCache(4)
 		for _, p := range pcs {
-			n.Exec(0x1000+uint32(p)*4, isa.Instr{})
+			n.Exec(0x1000+uint32(p)*4, decode.Op{})
 		}
 		ic := int64(instrs) + int64(len(pcs)) + 1
 		il := int64(interlocks)
@@ -63,7 +63,7 @@ func TestSequentialRequestCount(t *testing.T) {
 		n := NewNoCache(bus)
 		count := uint32(237)
 		for i := uint32(0); i < count; i++ {
-			n.Exec(0x2000+2*i, isa.Instr{})
+			n.Exec(0x2000+2*i, decode.Op{})
 		}
 		span := 2 * count
 		want := int64((span + bus - 1) / bus)

@@ -103,7 +103,6 @@ type Engine struct {
 	// pendAddr is the data address of the load/store currently being
 	// executed (the Machine notifies Load/Store before Exec).
 	pendAddr uint32
-	pendOK   bool
 
 	// Cycle attribution (see account.go).
 	buckets    Breakdown   // global attribution, unused with per-PC rows
@@ -138,23 +137,13 @@ func New(cfg Config) *Engine {
 }
 
 // Exec implements the sim observer contract: it advances the model by
-// one issued instruction, synthesizing the predecoded metadata on the
-// fly. Hot paths that already hold a shared decode table call ExecOp
-// directly; both entry points funnel into the same implementation, so
-// they cannot diverge.
-func (e *Engine) Exec(pc uint32, in isa.Instr) {
-	e.ExecOp(pc, decode.Synth(in))
-}
-
-// ExecOp advances the model by one issued instruction given its
-// predecoded micro-op. This is the devirtualized fast path the
-// simulator uses when exactly one Engine is attached: no interface
-// dispatch, and the operand/latency metadata comes precomputed from
-// the shared table instead of being re-derived per dynamic instruction.
-// op is passed by value: the 24-byte copy keeps every field access on
-// the local stack frame (uninstrumented under the race detector, no
-// aliasing barriers for the optimizer).
-func (e *Engine) ExecOp(pc uint32, op decode.Op) {
+// one issued instruction given its predecoded micro-op, whose operand
+// and latency metadata come from the shared decode table. The simulator
+// calls it directly, without interface dispatch, for every attached
+// engine. op is passed by value: the 24-byte copy keeps every field
+// access on the local stack frame (uninstrumented under the race
+// detector, no aliasing barriers for the optimizer).
+func (e *Engine) Exec(pc uint32, op decode.Op) {
 	e.Instrs++
 	issue := e.clock + 1
 	// Every charge below lands in row: pc's per-PC accounting row when
@@ -248,8 +237,8 @@ func (e *Engine) ExecOp(pc uint32, op decode.Op) {
 	e.clock = issue
 	e.charge(row, pc, BUseful, 1, StageEX, issue)
 
-	// Result latency (the shared metadata rule lives in decode.Meta; the
-	// table's Lat column is isa.ResultLatency of the opcode).
+	// Result latency (the table's Lat column is isa.ResultLatency of
+	// the opcode).
 	switch {
 	case op.Flags&decode.FLoad != 0:
 		// The MEM-stage access is a memory request through the shared
@@ -279,15 +268,14 @@ func (e *Engine) ExecOp(pc uint32, op decode.Op) {
 			e.meta[d] = regMeta{base: issue + lat, cause: BFPU, latBucket: BDataWait}
 		}
 	}
-	e.pendOK = false
 }
 
 // Load implements sim.Observer: it records the access address for the
 // cache probe of the instruction about to be accounted in Exec.
-func (e *Engine) Load(addr uint32, size uint32) { e.pendAddr, e.pendOK = addr, true }
+func (e *Engine) Load(addr uint32, size uint32) { e.pendAddr = addr }
 
 // Store implements sim.Observer (see Load).
-func (e *Engine) Store(addr uint32, size uint32) { e.pendAddr, e.pendOK = addr, true }
+func (e *Engine) Store(addr uint32, size uint32) { e.pendAddr = addr }
 
 // dataAccess charges one data memory request starting no earlier than
 // the MEM stage of the instruction issued at `issue`. It returns the
@@ -300,13 +288,10 @@ func (e *Engine) dataAccess(issue int64, isStore bool) (done, con, cost int64, b
 	cost, bucket = e.cfg.WaitStates, BDataWait
 	if s := e.cfg.Caches; s != nil {
 		var miss bool
-		switch {
-		case isStore:
+		if isStore {
 			miss = s.D.Write(e.pendAddr)
-		case e.pendOK && e.pendAddr < isa.DataBase:
-			miss = s.I.Read(e.pendAddr) // literal-pool load, I-stream locality
-		default:
-			miss = s.D.Read(e.pendAddr)
+		} else {
+			miss = s.Read(e.pendAddr)
 		}
 		if !miss {
 			return issue + 1, 0, 0, BCacheMiss

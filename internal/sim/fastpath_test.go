@@ -2,9 +2,11 @@ package sim
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cache"
+	"repro/internal/decode"
 	"repro/internal/isa"
 	"repro/internal/pipeline"
 )
@@ -13,11 +15,11 @@ import (
 // cannot recognize it and the run takes the generic dispatch path.
 type forward struct{ e *pipeline.Engine }
 
-func (f forward) Exec(pc uint32, in isa.Instr) { f.e.Exec(pc, in) }
+func (f forward) Exec(pc uint32, op decode.Op) { f.e.Exec(pc, op) }
 func (f forward) Load(addr, size uint32)       { f.e.Load(addr, size) }
 func (f forward) Store(addr, size uint32)      { f.e.Store(addr, size) }
 
-// TestFastPathMatchesGenericEngine: the devirtualized ExecOp path and
+// TestFastPathMatchesGenericEngine: the devirtualized engine path and
 // the generic Observer path produce identical timing — total cycles,
 // every attribution bucket, and the full per-PC tables — across memory
 // configurations and both encodings.
@@ -78,7 +80,7 @@ func TestFastPathMatchesGenericEngine(t *testing.T) {
 // forward does for an engine.
 type cacheForward struct{ s *cache.System }
 
-func (f cacheForward) Exec(pc uint32, in isa.Instr) { f.s.Exec(pc, in) }
+func (f cacheForward) Exec(pc uint32, op decode.Op) { f.s.Exec(pc, op) }
 func (f cacheForward) Load(addr, size uint32)       { f.s.Load(addr, size) }
 func (f cacheForward) Store(addr, size uint32)      { f.s.Store(addr, size) }
 
@@ -127,32 +129,40 @@ func TestCacheFastPathMatchesGeneric(t *testing.T) {
 	}
 }
 
-// TestExecCounts: the per-slot counts of a counting run add up to the
-// retired instructions, survive a resumed run, and are off again after
-// a Reset.
-func TestExecCounts(t *testing.T) {
+// TestResumedRunAddsUp: a run stopped at its instruction budget and
+// resumed ends with the same Stats as an uninterrupted run, Table 4
+// class counts included. On DLXe every loop trip's store and load
+// carries a displacement beyond D16's reach, so the class counts are
+// not trivially zero.
+func TestResumedRunAddsUp(t *testing.T) {
 	for _, spec := range bothSpecs() {
-		img := assemble(t, loopProgram(spec), spec)
-		m, err := New(img)
+		src := loopProgram(spec)
+		if spec.Enc == isa.EncDLXe {
+			src = strings.ReplaceAll(src, "0(gp)", "128(gp)")
+		}
+		img := assemble(t, src, spec)
+		whole, err := New(img)
 		if err != nil {
 			t.Fatal(err)
 		}
-		m.CountExecs()
-		// Stop mid-loop, then resume: the counts carry over.
-		if err := m.Run(100); err == nil {
+		if err := whole.Run(1_000_000); err != nil {
+			t.Fatal(err)
+		}
+		resumed, err := New(img)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := resumed.Run(100); err == nil {
 			t.Fatal("a 100-instruction budget should not finish the loop")
 		}
-		if err := m.Run(1_000_000); err != nil {
+		if err := resumed.Run(1_000_000); err != nil {
 			t.Fatal(err)
 		}
-		var sum int64
-		m.ExecCounts(func(_ isa.Instr, n int64) { sum += n })
-		if sum != m.Stats.Instrs {
-			t.Errorf("%v: counts add up to %d, %d instructions retired", spec.Enc, sum, m.Stats.Instrs)
+		if resumed.Stats != whole.Stats {
+			t.Errorf("%v: resumed run %+v, uninterrupted %+v", spec.Enc, resumed.Stats, whole.Stats)
 		}
-		if err := m.Reset(img); err != nil {
-			t.Fatal(err)
+		if spec.Enc == isa.EncDLXe && whole.Stats.Imm[isa.ImmWideMem] != 400 {
+			t.Errorf("DLXe: %d wide-displacement executions, want 400 (200 trips of st+ld)", whole.Stats.Imm[isa.ImmWideMem])
 		}
-		m.ExecCounts(func(isa.Instr, int64) { t.Errorf("%v: counts reported after Reset", spec.Enc) })
 	}
 }

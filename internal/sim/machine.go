@@ -40,9 +40,12 @@
 // pipeline.Engine and cache.System observers are recognized once by
 // Attach and called directly (a single engine alone gets the tightest
 // path), and only observers of other types go through the interface.
-// The cacheless bus models of widths 2, 4 and 8 and the per-instruction
-// execution counts (CountExecs) are kept by the loop itself, so
-// measurements that need only counts attach no observer at all.
+// Every observer receives the same predecoded op the loop executes, so
+// none re-derives decode metadata per dynamic instruction. The cacheless
+// bus models of widths 2, 4 and 8 and the Table 4 immediate classes
+// (predecoded once per instruction, see decode.Op.Imm) are counted by
+// the loop itself, so measurements that need only counts attach no
+// observer at all.
 package sim
 
 import (
@@ -74,6 +77,9 @@ type Stats struct {
 	Taken            int64 // of which taken
 	Jumps            int64
 	Nops             int64
+	// Imm counts executed instructions by Table 4 class
+	// (isa.ImmClassOf); the ImmFits slot stays zero.
+	Imm [isa.NumImmClasses]int64
 }
 
 // DataOps returns total loads + stores (the paper's MemOps).
@@ -98,8 +104,9 @@ func (s *Stats) FetchBlocks(width uint32) (n int64, ok bool) {
 // Observer receives execution events for trace-driven timing models. All
 // methods are called in program order.
 type Observer interface {
-	// Exec is called for every executed instruction with its address.
-	Exec(pc uint32, in isa.Instr)
+	// Exec is called for every executed instruction with its address
+	// and its predecoded op (op.In is the instruction).
+	Exec(pc uint32, op decode.Op)
 	// Load/Store are called for data accesses (size in bytes).
 	Load(addr uint32, size uint32)
 	Store(addr uint32, size uint32)
@@ -142,7 +149,7 @@ type Machine struct {
 	ib        uint32
 	obs       []Observer
 	eng       *pipeline.Engine   // devirtualized path when it is the only observer
-	engs      []*pipeline.Engine // attached engines, driven via ExecOp (no Synth)
+	engs      []*pipeline.Engine // attached engines, called directly
 	caches    []*cache.System    // attached cache systems, called directly
 	others    []Observer         // remaining observers, driven via the interface
 	itrace    *telemetry.Ring[TraceEntry]
@@ -150,12 +157,6 @@ type Machine struct {
 	ready     [64]int64
 	fpsrReady int64
 	lastPC    uint32 // pc of the last fetched instruction (noPC = none)
-
-	// Per-slot execution counts, indexed like dec.Ops. The buffer is
-	// owned by the machine and reused across tenancies; counting is on
-	// only between CountExecs and the next Reset.
-	counting bool
-	counts   []int64
 
 	// Reset bookkeeping: the memory this tenancy may have written —
 	// the loaded image's spans plus the byte range covered by executed
@@ -239,7 +240,6 @@ func (m *Machine) Reset(img *prog.Image) error {
 	m.ready = [64]int64{}
 	m.fpsrReady = 0
 	m.lastPC = noPC
-	m.counting = false
 	return nil
 }
 
@@ -262,9 +262,8 @@ func (m *Machine) dropObservers() {
 // observers are recognized by type once here and called directly in the
 // run loop — a single attached engine gets the fully devirtualized fast
 // path, and additional engines (multi-bus profiling attaches up to
-// eight) still skip the interface dispatch and the per-instruction
-// metadata synthesis; cache systems (a cache sweep attaches one per
-// geometry) skip the dispatch too. Only observers of other types go
+// eight) and cache systems (a cache sweep attaches one per geometry)
+// still skip the interface dispatch. Only observers of other types go
 // through the generic Exec interface.
 func (m *Machine) Attach(o Observer) {
 	m.obs = append(m.obs, o)
@@ -280,36 +279,6 @@ func (m *Machine) Attach(o Observer) {
 		m.eng = m.engs[0]
 	} else {
 		m.eng = nil
-	}
-}
-
-// CountExecs turns on per-instruction execution counting until the next
-// Reset: every retired instruction increments its slot of a buffer the
-// machine owns, which ExecCounts reads back. Calling it again zeroes the
-// counts. The buffer is reused across tenancies, so a pooled counting
-// run allocates nothing once the buffer has grown to the text size.
-func (m *Machine) CountExecs() {
-	n := len(m.dec.Ops)
-	if cap(m.counts) < n {
-		m.counts = make([]int64, n)
-	} else {
-		m.counts = m.counts[:n]
-		clear(m.counts)
-	}
-	m.counting = true
-}
-
-// ExecCounts calls fn, in text order, for every instruction retired
-// since CountExecs, with the number of times it retired. It calls
-// nothing when counting is off.
-func (m *Machine) ExecCounts(fn func(in isa.Instr, n int64)) {
-	if !m.counting {
-		return
-	}
-	for i, n := range m.counts {
-		if n != 0 {
-			fn(m.dec.Ops[i].In, n)
-		}
 	}
 }
 
@@ -375,22 +344,20 @@ func (m *Machine) Run(maxInstrs int64) error {
 	pc, npc := m.PC, m.PC+m.ib
 
 	// The per-instruction bookkeeping — path-length counters, the
-	// fetch-block counts of the 2-, 4- and 8-byte buses and the
-	// interlock scoreboard clock — lives in locals for the duration of
-	// the loop and is flushed to Stats on every exit. The scoreboard
-	// reads the table's precomputed register sources, destination and
-	// result latency; the historical per-instruction re-derivation from
-	// the decoded form is gone.
+	// fetch-block counts of the 2-, 4- and 8-byte buses, the Table 4
+	// class counts and the interlock scoreboard clock — lives in locals
+	// for the duration of the loop and is flushed to Stats on every
+	// exit, so a resumed run adds up to an uninterrupted one. The
+	// scoreboard reads the table's precomputed register sources,
+	// destination and result latency; the historical per-instruction
+	// re-derivation from the decoded form is gone.
 	instrs, nops, interlocks := m.Stats.Instrs, m.Stats.Nops, m.Stats.Interlocks
 	words, dwords := m.Stats.FetchWords, m.Stats.FetchDoublewords
 	// Every instruction but an immediate repeat of the previous pc is a
 	// new 2-byte block, so the loop counts the rare repeats instead.
 	repeats := instrs - m.Stats.FetchHalfwords
+	imm := m.Stats.Imm
 	t, lastPC, fpsrReady := m.t, m.lastPC, m.fpsrReady
-	var counts []int64
-	if m.counting {
-		counts = m.counts
-	}
 	var runErr error
 
 	for !m.halted {
@@ -427,6 +394,9 @@ func (m *Machine) Run(maxInstrs int64) error {
 		instrs++
 		if op.Flags&decode.FNop != 0 {
 			nops++
+		}
+		if op.Imm != isa.ImmFits {
+			imm[op.Imm]++
 		}
 		// Instruction traffic of a one-block fetch buffer (Table 8's
 		// measure at 4 bytes): a bus requests a new block whenever
@@ -472,20 +442,17 @@ func (m *Machine) Run(maxInstrs int64) error {
 			runErr = err
 			break
 		}
-		if counts != nil {
-			counts[i]++
-		}
 		if m.eng != nil {
-			m.eng.ExecOp(pc, op)
+			m.eng.Exec(pc, op)
 		} else if len(m.obs) != 0 {
 			for _, e := range m.engs {
-				e.ExecOp(pc, op)
+				e.Exec(pc, op)
 			}
 			for _, s := range m.caches {
-				s.Exec(pc, op.In)
+				s.Exec(pc, op)
 			}
 			for _, o := range m.others {
-				o.Exec(pc, op.In)
+				o.Exec(pc, op)
 			}
 		}
 		if taken {
@@ -496,6 +463,7 @@ func (m *Machine) Run(maxInstrs int64) error {
 	}
 	m.Stats.Instrs, m.Stats.Nops, m.Stats.Interlocks = instrs, nops, interlocks
 	m.Stats.FetchHalfwords, m.Stats.FetchWords, m.Stats.FetchDoublewords = instrs-repeats, words, dwords
+	m.Stats.Imm = imm
 	m.t, m.lastPC, m.fpsrReady = t, lastPC, fpsrReady
 	if runErr == nil {
 		m.PC = pc

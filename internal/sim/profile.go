@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/decode"
 	"repro/internal/isa"
 	"repro/internal/prog"
 )
@@ -59,7 +60,7 @@ func (p *Profile) symIndex(pc uint32) int { return p.tab.Index(pc) }
 func (p *Profile) symName(i int) string { return p.tab.Name(i) }
 
 // Exec implements Observer.
-func (p *Profile) Exec(pc uint32, in isa.Instr) {
+func (p *Profile) Exec(pc uint32, op decode.Op) {
 	p.total++
 
 	// A call/return two instructions back has now cleared its delay slot:
@@ -88,7 +89,7 @@ func (p *Profile) Exec(pc uint32, in isa.Instr) {
 	}
 	p.batch++
 
-	switch {
+	switch in := &op.In; {
 	case in.Op == isa.JL:
 		p.pendingN, p.pendingOp = 2, +1
 	case in.Op == isa.J && !in.HasImm && in.Rs1 == isa.RegLink:

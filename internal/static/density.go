@@ -22,7 +22,7 @@ func (a *analysis) fetchWords(start, end, bus uint32) int64 {
 		// A wide instruction on a narrow bus (DLXe on the 16-bit bus)
 		// covers several words; the scan is ascending, so tracking the
 		// last counted word deduplicates shared blocks.
-		for blk := pc &^ (bus - 1); blk <= (pc + a.ib - 1) &^ (bus - 1); blk += bus {
+		for blk := pc &^ (bus - 1); blk <= (pc+a.ib-1)&^(bus-1); blk += bus {
 			if !have || blk > last {
 				words++
 				last, have = blk, true

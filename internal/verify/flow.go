@@ -198,9 +198,6 @@ func (v *verifier) analyze(f funcSpan) {
 		v.step(f, pc, states[pc].clone(), push)
 	}
 
-	if v.opts.AllowUnreachable {
-		return
-	}
 	for pc := f.start; pc < f.end; pc += v.ib {
 		if !v.isCode(pc) || v.rep.reachable[pc] {
 			continue

@@ -12,32 +12,18 @@ import (
 	"repro/internal/telemetry"
 )
 
-// Options tunes the verifier.
-type Options struct {
-	// AllowUnreachable whitelists unreachable instructions (code the CFG
-	// walk cannot reach from any function entry). The compile gate runs
-	// strict; hand-assembled images may opt out.
-	AllowUnreachable bool
-}
-
 // maxViolations caps the report so a garbage image (fuzzing) cannot
 // allocate without bound.
 const maxViolations = 200
 
-// Image verifies a linked image against the target spec with default
-// options and returns the full report.
+// Image verifies a linked image against the target spec and returns the
+// full report.
 func Image(img *prog.Image, spec *isa.Spec) *Report {
-	return ImageOpts(img, spec, Options{})
-}
-
-// ImageOpts verifies with explicit options.
-func ImageOpts(img *prog.Image, spec *isa.Spec, opts Options) *Report {
 	span := telemetry.StartSpan("verify", telemetry.String("config", spec.Name))
 	defer span.End()
 	v := &verifier{
 		img:  img,
 		spec: spec,
-		opts: opts,
 		ib:   img.Enc.InstrBytes(),
 		rep: &Report{
 			Config:    spec.Name,
@@ -66,7 +52,6 @@ type funcSpan struct {
 type verifier struct {
 	img  *prog.Image
 	spec *isa.Spec
-	opts Options
 	ib   uint32
 	rep  *Report
 
