@@ -1,12 +1,12 @@
 # Tier-1 gate: everything a PR must keep green (see ROADMAP.md).
 #
 # All scratch output lives under one temp root ($(TMP)); the CLIs used
-# by smoke/determinism/bench are built once into $(TMP)/bin via the
+# by the smoke targets are built once into $(TMP)/bin via the
 # shared Go build cache instead of per-target `go run` compiles.
 TMP := /tmp/repro-make
 BIN := $(TMP)/bin
 
-.PHONY: check build bench-build test vet fmt lint verify fuzz-short smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench bench-smoke clean
+.PHONY: check build bench-build test vet fmt lint verify fuzz-short smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench-smoke clean
 
 check: vet fmt lint build bench-build test fuzz-short verify smoke paper-golden store-smoke determinism explain-smoke sweep-smoke serve-smoke static-smoke bench-smoke
 
@@ -87,13 +87,14 @@ paper-golden: $(BIN)/repro
 	@echo "paper golden ok: all experiments match internal/experiments/testdata/paper.txt"
 
 # Store smoke: a run writes the columnar measurement store alongside the
-# JSON, a second run reproduces it byte for byte, and the query CLI can
-# read it back (docs/STORE.md).
-store-smoke: $(BIN)/repro
+# JSON, a second run reproduces it byte for byte, the query CLI can read
+# it back, and perfgate's cycle gate passes the pair (docs/STORE.md).
+store-smoke: $(BIN)/repro $(BIN)/perfgate
 	$(BIN)/repro -run fig4 -json $(TMP)/store-a -timing=false >/dev/null
 	$(BIN)/repro -run fig4 -json $(TMP)/store-b -timing=false >/dev/null
 	cmp $(TMP)/store-a/points.mcst $(TMP)/store-b/points.mcst
 	$(BIN)/repro -query 'by=cycles top=3' -store $(TMP)/store-a/points.mcst | grep -q '"matched"'
+	$(BIN)/perfgate -surface $(TMP)/store-a/points.mcst,$(TMP)/store-b/points.mcst
 	@echo "store smoke ok: $(TMP)/store-a/points.mcst round-trips and reproduces"
 
 # Determinism guard: the same experiment run twice — once sequentially,
@@ -161,20 +162,14 @@ static-smoke: $(BIN)/repro
 serve-smoke: $(BIN)/simd
 	@sh scripts/serve_smoke.sh $(BIN)/simd $(TMP)/serve-smoke
 
-# Continuous benchmarks: writes BENCH_<n>.json at the repo root and
-# fails on >10% regressions against the previous BENCH file.
-bench: $(BIN)/perfgate
-	$(BIN)/perfgate
-
-# Bench smoke: single-iteration pass over the simulator and cache-sweep
-# microbenches in a scratch dir (no BENCH file at the repo root, no
-# baseline compare). Numbers are noise at 1x; the point is exercising
-# the harness, the devirtualized cache path, and sim/step's absolute
-# allocs-per-instruction budget on every check.
-bench-smoke: $(BIN)/perfgate
-	rm -rf $(TMP)/bench-smoke && mkdir -p $(TMP)/bench-smoke
-	$(BIN)/perfgate -dir $(TMP)/bench-smoke -benchtime 1x -bench 'sim/|cache/'
-	@echo "bench smoke ok: sim and cache microbenches ran, alloc budget held"
+# Bench smoke: one iteration of each layer benchmark of the simulator
+# (bare, pipeline engine, paper cache systems) and the store, so they
+# keep building and running. Numbers are noise at 1x; wall-clock speed
+# is judged by `bash benchmark/run.sh` (benchmark/README.md), and
+# TestRunDoesNotAllocate holds the loop's allocation budget.
+bench-smoke:
+	go test -run '^$$' -bench . -benchtime 1x ./internal/sim/ ./internal/store/
+	@echo "bench smoke ok: sim and store layer benchmarks ran"
 
 clean:
 	rm -rf $(TMP) /tmp/repro-smoke

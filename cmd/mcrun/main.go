@@ -146,7 +146,13 @@ func main() {
 		os.Exit(1)
 	}
 	if *dumpAsm {
-		fmt.Print(c.Asm)
+		// The image does not keep its source; regenerate it.
+		source, _, err := mcc.GenAsm(name, src, spec)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Print(source)
 	}
 	if *verifyMode {
 		// The compile gate already proved the image clean; re-run the

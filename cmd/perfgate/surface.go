@@ -2,19 +2,16 @@ package main
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 	"strings"
-	"testing"
 
 	"repro/internal/store"
 )
 
 // runSurface is perfgate's whole-surface gate: it diffs two columnar
 // measurement stores (baseline first) with store.Diff and fails when any
-// matched point's cycles regressed past the threshold — the cycle-level
-// complement to the wall-clock BENCH gate. The report names the worst
-// movers and, per cycle bucket, the point where that cause grew most.
+// matched point's cycles regressed past the threshold. The report names
+// the worst movers and, per cycle bucket, the point where that cause
+// grew most.
 func runSurface(spec string, threshold float64) error {
 	parts := strings.Split(spec, ",")
 	if len(parts) != 2 {
@@ -68,60 +65,4 @@ func orNone(s string) string {
 		return "none"
 	}
 	return s
-}
-
-// benchStoreThroughput measures the measurement store's append/scan
-// round trip — points written to and read back from disk per second —
-// on a synthetic surface big enough to exercise the columnar encoder.
-// Reported as points_per_sec (higher is better) next to the simulator's
-// instrs_per_sec.
-func benchStoreThroughput() (Result, error) {
-	const npoints = 4096
-	pts := make([]store.Point, 0, npoints)
-	for i := 0; i < npoints; i++ {
-		p := store.Point{
-			Bench:      fmt.Sprintf("bench%03d", i%64),
-			Config:     [2]string{"D16/16/2", "DLXe/32/3"}[i%2],
-			BusBytes:   int64(2 << (i % 2)),
-			WaitStates: int64(i % 4),
-			CacheKB:    int64(i / 256),
-			Instrs:     int64(1000 + i),
-		}
-		p.Buckets[store.BUseful] = p.Instrs
-		p.Buckets[store.BIFetchWait] = int64(i % 100)
-		p.Cycles = p.Instrs + p.Buckets[store.BIFetchWait]
-		pts = append(pts, p)
-	}
-
-	dir, err := os.MkdirTemp("", "perfgate-store")
-	if err != nil {
-		return Result{}, err
-	}
-	defer os.RemoveAll(dir)
-	path := filepath.Join(dir, "bench.mcst")
-
-	var iters int64
-	r, err := run("store/throughput", func(b *testing.B) {
-		b.ReportAllocs()
-		iters = int64(b.N)
-		for i := 0; i < b.N; i++ {
-			if err := store.WriteFile(path, pts); err != nil {
-				b.Fatal(err)
-			}
-			got, err := store.ReadFile(path)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if len(got) != npoints {
-				b.Fatalf("round trip lost points: %d != %d", len(got), npoints)
-			}
-		}
-	})
-	if err != nil {
-		return Result{}, err
-	}
-	if iters > 0 && r.NsPerOp > 0 {
-		r.PointsPerSec = float64(npoints) * 1e9 / r.NsPerOp
-	}
-	return r, nil
 }

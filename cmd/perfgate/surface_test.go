@@ -55,12 +55,3 @@ func TestRunSurface(t *testing.T) {
 		t.Fatal("missing store accepted")
 	}
 }
-
-func TestComparePointsPerSec(t *testing.T) {
-	old := report(1, Result{Name: "store/throughput", NsPerOp: 100, AllocsPerOp: 1, PointsPerSec: 1e6})
-	cur := report(2, Result{Name: "store/throughput", NsPerOp: 100, AllocsPerOp: 1, PointsPerSec: 7e5})
-	bad := Regressions(Compare(old, cur, 0.10))
-	if len(bad) != 1 || bad[0].Metric != "points_per_sec" {
-		t.Fatalf("want one points_per_sec regression, got %+v", bad)
-	}
-}

@@ -46,7 +46,7 @@ func main() {
 	listen := flag.String("listen", ":8080", "address to serve on")
 	workers := flag.Int("jobs", runtime.NumCPU(), "simulation worker pool size (min 1)")
 	queue := flag.Int("queue", 128, "scheduler queue depth before /v1/batch returns 503")
-	timeout := flag.Duration("timeout", 2*time.Minute, "per-simulation timeout")
+	timeout := flag.Duration("timeout", 2*time.Minute, "deadline of each job's context, set when the job starts running; core simulations ignore their context, so it stops none of them")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-shutdown budget for in-flight work")
 	storePath := flag.String("store", "", "columnar measurement store file (.mcst) to serve /v1/query from and append new measurements to")
 	quiet := flag.Bool("quiet", false, "suppress the per-request access log")

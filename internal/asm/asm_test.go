@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/d16"
 	"repro/internal/dlxe"
@@ -86,6 +87,32 @@ func TestAssembleTinyBothTargets(t *testing.T) {
 		// bz at index 5 targets "done" at index 8: displacement 3 instrs.
 		if want := int32(3 * spec.InstrBytes()); ins[5].Imm != want {
 			t.Errorf("%s: bz displacement %d, want %d", spec, ins[5].Imm, want)
+		}
+	}
+}
+
+// TestSymbolsDoNotPinSource checks that no symbol name in the image
+// shares bytes with the assembly source: a key that is a substring of
+// the source keeps the whole source text reachable for the image's
+// lifetime.
+func TestSymbolsDoNotPinSource(t *testing.T) {
+	src := tinyProgram + "\t.data\ncounter: .word 7\n"
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(src)))
+	hi := lo + uintptr(len(src))
+	for _, spec := range []*isa.Spec{isa.D16(), isa.DLXe()} {
+		img := mustAssemble(t, src, spec)
+		for _, name := range []string{"_start", "done", "counter"} {
+			if _, ok := img.Symbols[name]; !ok {
+				t.Fatalf("%s: symbol %q missing", spec, name)
+			}
+		}
+		for k := range img.Symbols {
+			if k == "" {
+				continue
+			}
+			if p := uintptr(unsafe.Pointer(unsafe.StringData(k))); p >= lo && p < hi {
+				t.Errorf("%s: symbol key %q points into the assembly source", spec, k)
+			}
 		}
 	}
 }

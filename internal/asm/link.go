@@ -3,6 +3,7 @@ package asm
 import (
 	"encoding/binary"
 	"fmt"
+	"strings"
 
 	"repro/internal/d16"
 	"repro/internal/dlxe"
@@ -283,8 +284,10 @@ func (a *Assembler) encode(symbols map[string]uint32) (*prog.Image, error) {
 		Cmp8:    a.spec.CmpImm8,
 		Symbols: make(map[string]uint32, len(symbols)),
 	}
+	// Parsed symbol names are substrings of the assembly source; clone
+	// each key so the image does not keep the whole source alive.
 	for k, v := range symbols { //detlint:ignore rangemap map-to-map copy, order-free
-		img.Symbols[k] = v
+		img.Symbols[strings.Clone(k)] = v
 	}
 
 	var textEnd, dataEnd uint32 = isa.TextBase, isa.DataBase

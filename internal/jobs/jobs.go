@@ -67,7 +67,10 @@ type Config struct {
 	Workers int
 	// QueueDepth bounds accepted-but-not-started jobs (default 64).
 	QueueDepth int
-	// DefaultTimeout bounds each job's execution (0 = none).
+	// DefaultTimeout is the deadline (0 = none) of the context each job
+	// runs with. The context is made when the job starts, so the
+	// deadline never expires a queued job, and a job that ignores its
+	// context runs on past it; every core simulation does today.
 	DefaultTimeout time.Duration
 	// Registry receives the scheduler metrics, named under the
 	// "jobs." prefix (default: a private registry; pass

@@ -16,8 +16,6 @@ import (
 // configuration.
 type Compiled struct {
 	Spec *isa.Spec
-	// Asm is the generated assembly source (runtime + program + data).
-	Asm string
 	// Image is the linked binary.
 	Image *prog.Image
 	// Spills counts spilled live ranges across all functions (a register
@@ -48,7 +46,7 @@ func Compile(file, src string, spec *isa.Spec) (*Compiled, error) {
 	if rep := verify.Image(img, spec); !rep.OK() {
 		return nil, fmt.Errorf("mcc: %s (%s): %w", file, spec.Name, rep.Err())
 	}
-	return &Compiled{Spec: spec, Asm: source, Image: img, Spills: spills}, nil
+	return &Compiled{Spec: spec, Image: img, Spills: spills}, nil
 }
 
 // passBounds are the bucket bounds of the per-pass duration histograms,

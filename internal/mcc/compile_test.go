@@ -22,7 +22,7 @@ func runMC(t *testing.T, src string, spec *isa.Spec) (string, *sim.Machine, *Com
 		t.Fatal(err)
 	}
 	if err := m.Run(200_000_000); err != nil {
-		t.Fatalf("run(%s): %v\n--- asm ---\n%s", spec, err, c.Asm)
+		t.Fatalf("run(%s): %v", spec, err)
 	}
 	return m.Output.String(), m, c
 }

@@ -4,17 +4,24 @@ import (
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/mcc"
 	"repro/internal/pipeline"
 	"repro/internal/sim"
 )
 
-// The throughput benchmarks mirror perfgate's sim/throughput and
-// sim/step gates in `go test -bench` form so the hot loop can be
-// profiled in place (-cpuprofile) without running the full harness.
+// The throughput benchmarks time whole runs of queens on D16 through
+// the pooled machine, one per observer shape the lab attaches: none
+// (BenchmarkRun), the pipeline engine (BenchmarkRunEngine) and the
+// paper's five cache systems (BenchmarkRunCaches). They report
+// simulated instructions per second, and the hot loop can be profiled
+// in place with -cpuprofile. TestRunDoesNotAllocate holds the loop's
+// allocation budget.
 
-func compileQueens(b *testing.B) *mcc.Compiled {
+// benchQueens compiles queens for D16 once, then times b.N runs, each
+// on a pooled machine with attach's observers.
+func benchQueens(b *testing.B, attach func(*sim.Machine)) {
 	b.Helper()
 	prog := bench.ByName("queens")
 	if prog == nil {
@@ -24,44 +31,45 @@ func compileQueens(b *testing.B) *mcc.Compiled {
 	if err != nil {
 		b.Fatal(err)
 	}
-	return c
+	b.ReportAllocs()
+	b.ResetTimer()
+	var instrs int64
+	for i := 0; i < b.N; i++ {
+		m, err := sim.Acquire(c.Image)
+		if err != nil {
+			b.Fatal(err)
+		}
+		attach(m)
+		if err := m.Run(prog.MaxInstrs); err != nil {
+			b.Fatal(err)
+		}
+		instrs += m.Stats.Instrs
+		sim.Release(m)
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
 }
 
 func BenchmarkRun(b *testing.B) {
-	c := compileQueens(b)
-	max := bench.ByName("queens").MaxInstrs
-	b.ReportAllocs()
-	var instrs int64
-	for i := 0; i < b.N; i++ {
-		m, err := sim.Acquire(c.Image)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := m.Run(max); err != nil {
-			b.Fatal(err)
-		}
-		instrs += m.Stats.Instrs
-		sim.Release(m)
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	benchQueens(b, func(*sim.Machine) {})
 }
 
 func BenchmarkRunEngine(b *testing.B) {
-	c := compileQueens(b)
-	max := bench.ByName("queens").MaxInstrs
-	b.ReportAllocs()
-	var instrs int64
-	for i := 0; i < b.N; i++ {
-		m, err := sim.Acquire(c.Image)
-		if err != nil {
-			b.Fatal(err)
-		}
+	benchQueens(b, func(m *sim.Machine) {
 		m.Attach(pipeline.New(pipeline.Config{BusBytes: 4, WaitStates: 1}))
-		if err := m.Run(max); err != nil {
-			b.Fatal(err)
+	})
+}
+
+// BenchmarkRunCaches attaches the Section 4.1 cache systems of 1K to
+// 16K (cache.PaperConfig), the shape of a cache-sweep run: the machine
+// calls each system directly through the flat cache kernel.
+func BenchmarkRunCaches(b *testing.B) {
+	benchQueens(b, func(m *sim.Machine) {
+		for size := uint32(1024); size <= 16384; size *= 2 {
+			sys, err := cache.NewSystem(cache.PaperConfig(size), cache.PaperConfig(size))
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Attach(sys)
 		}
-		instrs += m.Stats.Instrs
-		sim.Release(m)
-	}
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "instrs/s")
+	})
 }

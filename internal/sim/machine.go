@@ -33,13 +33,13 @@
 // # Hot-loop discipline
 //
 // Run and everything it calls per instruction (account, exec, the
-// observer notifications) must not allocate: the perfgate benchmark
-// sim/step enforces an allocs-per-instruction ceiling, and
-// TestRunDoesNotAllocate asserts zero steady-state allocations. The
-// timing models the paper's experiments attach are devirtualized:
-// pipeline.Engine and cache.System observers are recognized once by
-// Attach and called directly (a single engine alone gets the tightest
-// path), and only observers of other types go through the interface.
+// observer notifications) must not allocate: TestRunDoesNotAllocate
+// asserts zero allocations per run, bare, with the pipeline engine and
+// with a cache system attached. The timing models the paper's
+// experiments attach are devirtualized: pipeline.Engine and
+// cache.System observers are recognized once by Attach and called
+// directly (a single engine alone gets the tightest path), and only
+// observers of other types go through the interface.
 // Every observer receives the same predecoded op the loop executes, so
 // none re-derives decode metadata per dynamic instruction. The cacheless
 // bus models of widths 2, 4 and 8 and the Table 4 immediate classes

@@ -187,9 +187,9 @@ type QueryResult struct {
 // by the By metric (descending, canonical key as the tie-break) and
 // truncates to Top.
 func Query(pts []Point, f Filter) (*QueryResult, error) {
-	if f.By != "" && metricByName(f.By) == nil {
-		return nil, fmt.Errorf("store: unknown sort metric %q (valid: %s)",
-			f.By, strings.Join(SortMetrics(), ", "))
+	finish, err := rank(f)
+	if err != nil {
+		return nil, err
 	}
 	canon := Canon(pts)
 	matched := make([]Point, 0, len(canon))
@@ -198,20 +198,36 @@ func Query(pts []Point, f Filter) (*QueryResult, error) {
 			matched = append(matched, canon[i])
 		}
 	}
-	res := &QueryResult{Filter: f.String(), Total: len(canon), Matched: len(matched)}
+	return finish(len(canon), matched), nil
+}
+
+// rank validates f.By and returns the tail shared by Query and
+// QueryFile: it orders the matched points by the By metric
+// (descending, canonical key as the tie-break), truncates them to Top
+// and wraps them with the surface's total.
+func rank(f Filter) (func(total int, matched []Point) *QueryResult, error) {
+	var metric func(*Point) float64
 	if f.By != "" {
-		metric := metricByName(f.By)
-		sort.SliceStable(matched, func(i, j int) bool {
-			vi, vj := metric(&matched[i]), metric(&matched[j])
-			if vi != vj {
-				return vi > vj
-			}
-			return less(&matched[i], &matched[j])
-		})
+		if metric = metricByName(f.By); metric == nil {
+			return nil, fmt.Errorf("store: unknown sort metric %q (valid: %s)",
+				f.By, strings.Join(SortMetrics(), ", "))
+		}
 	}
-	if f.Top > 0 && len(matched) > f.Top {
-		matched = matched[:f.Top]
-	}
-	res.Points = matched
-	return res, nil
+	return func(total int, matched []Point) *QueryResult {
+		res := &QueryResult{Filter: f.String(), Total: total, Matched: len(matched)}
+		if metric != nil {
+			sort.SliceStable(matched, func(i, j int) bool {
+				vi, vj := metric(&matched[i]), metric(&matched[j])
+				if vi != vj {
+					return vi > vj
+				}
+				return less(&matched[i], &matched[j])
+			})
+		}
+		if f.Top > 0 && len(matched) > f.Top {
+			matched = matched[:f.Top]
+		}
+		res.Points = matched
+		return res
+	}, nil
 }

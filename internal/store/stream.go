@@ -8,7 +8,6 @@ import (
 	"io"
 	"os"
 	"sort"
-	"strings"
 )
 
 // maxBlockDim bounds per-block allocation while scanning untrusted
@@ -158,14 +157,14 @@ func readBlockFrom(br *bufio.Reader) ([]Point, error) {
 // last-write-wins semantics; the result is byte-identical to
 // Query(ReadFile(path), f).
 func QueryFile(path string, f Filter) (*QueryResult, error) {
-	if f.By != "" && metricByName(f.By) == nil {
-		return nil, fmt.Errorf("store: unknown sort metric %q (valid: %s)",
-			f.By, strings.Join(SortMetrics(), ", "))
+	finish, err := rank(f)
+	if err != nil {
+		return nil, err
 	}
 	keys := map[string]struct{}{}
 	matchedIdx := map[string]int{}
 	matched := make([]Point, 0, 64)
-	err := ScanFile(path, func(pts []Point) error {
+	err = ScanFile(path, func(pts []Point) error {
 		for i := range pts {
 			p := &pts[i]
 			k := p.Key()
@@ -188,22 +187,7 @@ func QueryFile(path string, f Filter) (*QueryResult, error) {
 		return nil, err
 	}
 	sort.Slice(matched, func(i, j int) bool { return less(&matched[i], &matched[j]) })
-	res := &QueryResult{Filter: f.String(), Total: len(keys), Matched: len(matched)}
-	if f.By != "" {
-		metric := metricByName(f.By)
-		sort.SliceStable(matched, func(i, j int) bool {
-			vi, vj := metric(&matched[i]), metric(&matched[j])
-			if vi != vj {
-				return vi > vj
-			}
-			return less(&matched[i], &matched[j])
-		})
-	}
-	if f.Top > 0 && len(matched) > f.Top {
-		matched = matched[:f.Top]
-	}
-	res.Points = matched
-	return res, nil
+	return finish(len(keys), matched), nil
 }
 
 // WriteQueryJSON streams a QueryResult as indented JSON, one point at a

@@ -12,7 +12,7 @@
 //   - control flow: branch and LDC targets stay inside the text
 //     segment, never land in literal pools or padding, delay slots hold
 //     plain instructions, trap codes are ones the simulator services,
-//     and (optionally) no code is unreachable;
+//     and no code is unreachable;
 //   - dataflow: no register is read on a path where nothing defined it;
 //   - stack discipline: the stack pointer is balanced on every return
 //     path and callee-saved registers (including the link register) are
