@@ -131,29 +131,42 @@ explain-smoke: $(BIN)/repro
 	@echo "explain smoke ok: A/B drill-down byte-identical across runs and -jobs 8"
 
 # Sweep smoke: a small full-factorial sweep over generated programs
-# must pass every verify + differential gate, produce a byte-identical
-# surface sequentially and under -jobs 8, and answer queries
-# (docs/SWEEP.md).
+# must pass every verify + differential gate, log exactly the
+# checked-in reference (static summary lines included), produce a
+# byte-identical surface sequentially and under -jobs 8, and answer
+# queries (docs/SWEEP.md). After an intended log change, regenerate the
+# reference with
+#   go run ./cmd/repro -sweep 'classes=loopy,callheavy count=2 seed=7 waits=0-2' > internal/sweep/testdata/smoke.log
+# and review its diff.
 sweep-smoke: $(BIN)/repro
 	$(BIN)/repro -sweep 'classes=loopy,callheavy count=2 seed=7 waits=0-2' -store $(TMP)/sweep-a.mcst -faildir $(TMP)/sweep-fail-a > $(TMP)/sweep-a.out
 	$(BIN)/repro -sweep 'classes=loopy,callheavy count=2 seed=7 waits=0-2' -store $(TMP)/sweep-b.mcst -faildir $(TMP)/sweep-fail-b -jobs 8 > $(TMP)/sweep-b.out
+	diff -u internal/sweep/testdata/smoke.log $(TMP)/sweep-a.out
 	cmp $(TMP)/sweep-a.out $(TMP)/sweep-b.out
 	cmp $(TMP)/sweep-a.mcst $(TMP)/sweep-b.mcst
 	$(BIN)/repro -query 'by=cycles top=3' -store $(TMP)/sweep-a.mcst | grep -q '"matched"'
-	@echo "sweep smoke ok: corpus verified, surface byte-identical across -jobs 8"
+	@echo "sweep smoke ok: corpus verified, log matches internal/sweep/testdata/smoke.log, surface byte-identical across -jobs 8"
 
 # Static-analyzer smoke: the zero-simulation cost/density sweep over
-# all 90 images must exit clean and write a byte-identical static.json
-# across repeated runs and under the parallel pool (docs/STATIC.md).
+# all 90 images must exit clean, print exactly the checked-in text,
+# write a static.json whose sha256 is the pinned one, and reproduce
+# both byte for byte across repeated runs and under the parallel pool
+# (docs/STATIC.md). After an intended output change, regenerate both
+# references with
+#   go run ./cmd/repro -static -json /tmp/static > internal/static/testdata/repro-static.txt && sha256sum /tmp/static/static.json | cut -d' ' -f1 > internal/static/testdata/repro-static.json.sha256
+# and review their diff.
 static-smoke: $(BIN)/repro
 	$(BIN)/repro -static -json $(TMP)/static-a > $(TMP)/static-a.out
 	$(BIN)/repro -static -json $(TMP)/static-b > $(TMP)/static-b.out
 	$(BIN)/repro -static -json $(TMP)/static-j8 -jobs 8 > $(TMP)/static-j8.out
+	diff -u internal/static/testdata/repro-static.txt $(TMP)/static-a.out
+	@got=$$(sha256sum $(TMP)/static-a/static.json | cut -d' ' -f1); want=$$(cat internal/static/testdata/repro-static.json.sha256); \
+	if [ "$$got" != "$$want" ]; then echo "static.json sha256 $$got, want $$want (internal/static/testdata/repro-static.json.sha256)"; exit 1; fi
 	cmp $(TMP)/static-a.out $(TMP)/static-b.out
 	cmp $(TMP)/static-a.out $(TMP)/static-j8.out
 	cmp $(TMP)/static-a/static.json $(TMP)/static-b/static.json
 	cmp $(TMP)/static-a/static.json $(TMP)/static-j8/static.json
-	@echo "static smoke ok: bounds/density byte-identical across runs and -jobs 8"
+	@echo "static smoke ok: text and static.json match the checked-in references, byte-identical across runs and -jobs 8"
 
 # Service smoke: boot simd, hit /healthz, run the same one-point batch
 # twice (the repeat must be served from the result cache with an

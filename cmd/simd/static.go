@@ -2,7 +2,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -10,9 +9,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/isa"
-	"repro/internal/mcc"
 	"repro/internal/static"
-	"repro/internal/verify"
 )
 
 // handleStatic answers GET /v1/static?bench=<name>&config=<name>: the
@@ -66,17 +63,14 @@ func (s *server) handleStatic(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// staticReport compiles and analyzes one bench×config image. The
+// staticReport analyzes one bench×config image. The image comes from
+// the lab's compile memo, so a repeated request compiles nothing; the
 // analyzer is fast enough (milliseconds per image) to run on the
-// request goroutine; compilation re-verifies the image, so a dirty one
-// surfaces as *verify.Error here.
+// request goroutine. A dirty image fails the lab's compile gate and
+// surfaces as the *verify.Error it wraps.
 func (s *server) staticReport(b *bench.Benchmark, spec *isa.Spec) (*static.Report, error) {
-	c, err := mcc.Compile(b.Name+".mc", b.Source, spec)
+	c, err := s.lab.Compile(b, spec)
 	if err != nil {
-		var verr *verify.Error
-		if errors.As(err, &verr) {
-			return nil, verr
-		}
 		return nil, err
 	}
 	return static.Analyze(c.Image, spec)

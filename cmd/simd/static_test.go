@@ -5,11 +5,13 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // TestStaticEndpoint checks GET /v1/static returns a well-formed
-// analysis, is byte-deterministic across repeated requests, and
-// rejects bad parameters.
+// analysis, is byte-deterministic across repeated requests, compiles
+// each image once, and rejects bad parameters.
 func TestStaticEndpoint(t *testing.T) {
 	ts, _, _ := newStoreServer(t, 1)
 
@@ -44,8 +46,13 @@ func TestStaticEndpoint(t *testing.T) {
 		}
 	}
 
+	compiles := telemetry.Default().Counter("mcc.compiles")
+	before := compiles.Value()
 	if _, again := get(t, ts.URL+"/v1/static?bench=queens&config=d16"); again != body {
 		t.Error("repeated request body differs")
+	}
+	if n := compiles.Value() - before; n != 0 {
+		t.Errorf("repeated request compiled %d times, want 0 (the lab memoizes the image)", n)
 	}
 
 	if code, body := get(t, ts.URL+"/v1/static?bench=nosuch&config=d16"); code != http.StatusBadRequest {

@@ -8,6 +8,7 @@ import (
 	"repro/internal/asm"
 	"repro/internal/isa"
 	"repro/internal/prog"
+	"repro/internal/static"
 	"repro/internal/telemetry"
 	"repro/internal/verify"
 )
@@ -21,6 +22,10 @@ type Compiled struct {
 	// Spills counts spilled live ranges across all functions (a register
 	// pressure diagnostic for the paper's Section 3.3.1 experiments).
 	Spills int
+	// Static is the whole-image static summary (density, fetch words,
+	// fusible pairs, MinInstrs) the analyzer derives from the verify
+	// gate's CFG. The CFG and the per-function tables are not kept.
+	Static static.ImageStats
 }
 
 // Compile parses, optimizes and compiles src for the given target
@@ -43,10 +48,14 @@ func Compile(file, src string, spec *isa.Spec) (*Compiled, error) {
 	// Mandatory post-codegen gate: no image that fails static
 	// verification (encoding ranges, CFG integrity, def-before-use,
 	// stack discipline) ever reaches the simulator.
-	if rep := verify.Image(img, spec); !rep.OK() {
+	// The gate's walk reconstructs the CFG; the analyzer summarizes it
+	// here, so no later stage verifies the image again.
+	rep := verify.Image(img, spec)
+	if !rep.OK() {
 		return nil, fmt.Errorf("mcc: %s (%s): %w", file, spec.Name, rep.Err())
 	}
-	return &Compiled{Spec: spec, Image: img, Spills: spills}, nil
+	st := static.AnalyzeCFG(img, spec, rep.CFG())
+	return &Compiled{Spec: spec, Image: img, Spills: spills, Static: st.Image}, nil
 }
 
 // passBounds are the bucket bounds of the per-pass duration histograms,

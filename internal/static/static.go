@@ -2,9 +2,9 @@
 // analyzer: it reproduces the paper's static half — code density and
 // instruction-fetch traffic per bus width — and computes sound
 // whole-image cycle intervals [min, max], all without simulating a
-// cycle. It consumes the control-flow graph the verifier reconstructs
-// (verify.CFGOf), so every analyzed instruction provably decodes and
-// every edge was validated; nothing is re-proved here.
+// cycle. It consumes the control-flow graph a clean verify.Image report
+// carries (verify.Report.CFG), so every analyzed instruction provably
+// decodes and every edge was validated; nothing is re-proved here.
 //
 // The cycle bounds model the separate-port, cacheless pipeline engine
 // exactly (pipeline.Config{SharedPort: false, Caches: nil}): for every
@@ -168,15 +168,24 @@ func (r *Report) BoundAt(bus uint32, waits int64) (BoundRow, bool) {
 }
 
 // Analyze verifies img against spec and, when clean, runs the full
-// static analysis. A dirty image returns the *verify.Error carrying the
-// violation report — the same failure mcrun/repro surface as exit 3.
+// static analysis on the verifier's CFG: the entry for a bare image. A
+// dirty image returns the *verify.Error carrying the violation report —
+// the same failure mcrun/repro surface as exit 3.
 func Analyze(img *prog.Image, spec *isa.Spec) (*Report, error) {
-	span := telemetry.StartSpan("static", telemetry.String("config", spec.Name))
-	defer span.End()
-	g, vrep := verify.CFGOf(img, spec)
-	if g == nil {
+	vrep := verify.Image(img, spec)
+	if !vrep.OK() {
 		return nil, vrep.Err()
 	}
+	return AnalyzeCFG(img, spec, vrep.CFG()), nil
+}
+
+// AnalyzeCFG runs the full static analysis of img over g, the CFG a
+// clean verify.Image report carries. It re-proves nothing, so a caller
+// that has already verified img (mcc.Compile's gate) pays for the
+// analysis alone.
+func AnalyzeCFG(img *prog.Image, spec *isa.Spec, g *verify.CFG) *Report {
+	span := telemetry.StartSpan("static", telemetry.String("config", spec.Name))
+	defer span.End()
 	a := &analysis{
 		img:  img,
 		spec: spec,
@@ -188,7 +197,7 @@ func Analyze(img *prog.Image, spec *isa.Spec) (*Report, error) {
 	reg := telemetry.Default()
 	reg.Counter("static.images").Inc()
 	reg.Counter("static.diags").Add(int64(len(rep.Diags)))
-	return rep, nil
+	return rep
 }
 
 // top is the ⊤ sentinel for cycle quantities; inf the unreachable

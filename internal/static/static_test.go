@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/asm"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/sim"
 	"repro/internal/static"
 	"repro/internal/synth"
+	"repro/internal/verify"
 )
 
 func assemble(t *testing.T, src string, spec *isa.Spec) *prog.Image {
@@ -297,6 +299,46 @@ func TestContainmentSynth(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCompiledStaticMatchesAnalyze: the summary mcc.Compile derives from
+// its verify gate's CFG is exactly what analyzing the bare image yields,
+// for every seed benchmark and configuration and a few synth programs
+// per class.
+func TestCompiledStaticMatchesAnalyze(t *testing.T) {
+	check := func(name, src string, spec *isa.Spec) {
+		t.Helper()
+		c, err := mcc.Compile(name+".mc", src, spec)
+		if err != nil {
+			t.Fatalf("%s on %s: compile: %v", name, spec.Name, err)
+		}
+		rep, err := static.Analyze(c.Image, spec)
+		if err != nil {
+			t.Fatalf("%s on %s: analyze: %v", name, spec.Name, err)
+		}
+		if !reflect.DeepEqual(c.Static, rep.Image) {
+			t.Errorf("%s on %s: Compiled.Static = %+v, Analyze = %+v", name, spec.Name, c.Static, rep.Image)
+		}
+		if got := static.AnalyzeCFG(c.Image, spec, verify.Image(c.Image, spec).CFG()); !reflect.DeepEqual(got, rep) {
+			t.Errorf("%s on %s: AnalyzeCFG of the verified CFG differs from Analyze", name, spec.Name)
+		}
+	}
+	for _, spec := range allSpecs() {
+		for _, b := range bench.All() {
+			check(b.Name, b.Source, spec)
+		}
+	}
+	for _, class := range synth.Classes() {
+		for _, seed := range []uint32{1, 2, 3} {
+			p, err := synth.Generate(class, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, spec := range []*isa.Spec{isa.D16(), isa.DLXe()} {
+				check(p.Name, p.Source, spec)
+			}
+		}
 	}
 }
 

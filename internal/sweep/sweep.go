@@ -12,7 +12,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/jobs"
-	"repro/internal/static"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
@@ -230,11 +229,11 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 	return pts, nil
 }
 
-// staticGate runs the static cost/density analyzer over one program's
-// images and cross-checks every observed execution against the analysis
-// — the shortest halting path through the interprocedural CFG is a
-// sound lower bound on any run's dynamic instruction count (and so on
-// every closed-form grid cell's cycles). A violation means either the
+// staticGate reads the static summary each compile derived from its
+// verify gate's CFG (mcc.Compiled.Static) and cross-checks every
+// observed execution against it — the shortest halting path through
+// the interprocedural CFG is a sound lower bound on any run's dynamic
+// instruction count (and so on every closed-form grid cell's cycles). A violation means either the
 // analyzer or the pipeline model is wrong, which is exactly what a
 // sweep exists to surface; it fails the program at stage "static". The
 // per-program line keeps the log deterministic: everything in it is a
@@ -246,12 +245,7 @@ func (r *Runner) staticGate(logw io.Writer, spec *Spec, j *job, profiles []*core
 			j.stage, j.cfg, j.err = "compile", cfg.Name, err
 			return err
 		}
-		rep, err := static.Analyze(c.Image, cfg)
-		if err != nil {
-			j.stage, j.cfg, j.err = "static", cfg.Name, err
-			return err
-		}
-		img := rep.Image
+		img := c.Static
 		fmt.Fprintf(logw, "sweep: static %s %s text=%d instrs=%d min-instrs=%d fusible=%d\n",
 			j.prog.Name, cfg.Name, img.TextBytes, img.Instrs, img.MinInstrs,
 			img.FuseCmpBranch+img.FuseLdcJump)

@@ -4,14 +4,14 @@ import (
 	"sort"
 
 	"repro/internal/isa"
-	"repro/internal/prog"
 )
 
 // This file exports the control-flow graph the verifier reconstructs as
-// a by-product of its reachability walk. The static analyzer
-// (internal/static) consumes it: every block's instructions provably
-// decode and every recorded edge was validated by checkTarget, so
-// downstream passes never re-prove decoding or target sanity.
+// a by-product of its reachability walk; a clean Report carries it
+// (Report.CFG). The static analyzer (internal/static) consumes it:
+// every block's instructions provably decode and every recorded edge
+// was validated by checkTarget, so downstream passes never re-prove
+// decoding or target sanity.
 //
 // Delay slots are folded the way the machine executes them: a control
 // transfer and its slot form one two-instruction unit at the end of a
@@ -66,38 +66,9 @@ type CFG struct {
 	ByEntry map[uint32]*FuncCFG
 }
 
-// CFGOf verifies img strictly and, when it is clean, returns its
-// reconstructed CFG. On any violation the CFG is nil and the report
-// carries the findings — callers surface it exactly as a failed verify.
-func CFGOf(img *prog.Image, spec *isa.Spec) (*CFG, *Report) {
-	v := &verifier{
-		img:  img,
-		spec: spec,
-		ib:   img.Enc.InstrBytes(),
-		rep: &Report{
-			Config:    spec.Name,
-			Enc:       img.Enc.String(),
-			reachable: map[uint32]bool{},
-		},
-		seen: map[string]bool{},
-		cfg:  &cfgRecorder{control: map[uint32]*xferRec{}, halts: map[uint32]bool{}},
-	}
-	v.run()
-	if !v.rep.OK() {
-		return nil, v.rep
-	}
-	return v.buildCFG(), v.rep
-}
-
-// cfgRecorder accumulates the control transfers the reachability walk
-// resolves. The walk revisits program points until the dataflow fixpoint
-// stabilizes, so every note is idempotent.
-type cfgRecorder struct {
-	control map[uint32]*xferRec
-	halts   map[uint32]bool
-}
-
-// xferRec is the recorded outcome of one control-transfer unit.
+// xferRec is the recorded outcome of one control-transfer unit. The walk
+// revisits program points until the dataflow fixpoint stabilizes, so
+// every note is idempotent.
 type xferRec struct {
 	targets        []uint32
 	fall           bool
@@ -109,24 +80,17 @@ type xferRec struct {
 }
 
 func (v *verifier) xrec(pc uint32) *xferRec {
-	x := v.cfg.control[pc]
+	x := v.control[pc]
 	if x == nil {
 		x = &xferRec{}
-		v.cfg.control[pc] = x
+		v.control[pc] = x
 	}
 	return x
 }
 
-func (v *verifier) noteHalt(pc uint32) {
-	if v.cfg != nil {
-		v.cfg.halts[pc] = true
-	}
-}
+func (v *verifier) noteHalt(pc uint32) { v.halts[pc] = true }
 
 func (v *verifier) noteTarget(pc, t uint32) {
-	if v.cfg == nil {
-		return
-	}
 	x := v.xrec(pc)
 	for _, have := range x.targets {
 		if have == t {
@@ -136,16 +100,9 @@ func (v *verifier) noteTarget(pc, t uint32) {
 	x.targets = append(x.targets, t)
 }
 
-func (v *verifier) noteFall(pc uint32) {
-	if v.cfg != nil {
-		v.xrec(pc).fall = true
-	}
-}
+func (v *verifier) noteFall(pc uint32) { v.xrec(pc).fall = true }
 
 func (v *verifier) noteCall(pc, t uint32, resolved bool) {
-	if v.cfg == nil {
-		return
-	}
 	x := v.xrec(pc)
 	x.hasCall = true
 	if resolved {
@@ -155,20 +112,12 @@ func (v *verifier) noteCall(pc, t uint32, resolved bool) {
 	}
 }
 
-func (v *verifier) noteReturn(pc uint32) {
-	if v.cfg != nil {
-		v.xrec(pc).returns = true
-	}
-}
+func (v *verifier) noteReturn(pc uint32) { v.xrec(pc).returns = true }
 
-func (v *verifier) noteUnresolved(pc uint32) {
-	if v.cfg != nil {
-		v.xrec(pc).unresolved = true
-	}
-}
+func (v *verifier) noteUnresolved(pc uint32) { v.xrec(pc).unresolved = true }
 
 // buildCFG assembles basic blocks from the recorded transfers. Only
-// called on clean reports, so every reachable slot decodes and every
+// called on clean images, so every reachable slot decodes and every
 // recorded edge passed checkTarget.
 func (v *verifier) buildCFG() *CFG {
 	g := &CFG{
@@ -190,7 +139,7 @@ func (v *verifier) buildFuncCFG(f funcSpan) *FuncCFG {
 	// fall-through resumption point after a control unit.
 	leaders := map[uint32]bool{f.start: true}
 	for pc := f.start; pc < f.end; pc += v.ib {
-		x := v.cfg.control[pc]
+		x := v.control[pc]
 		if x == nil || !v.rep.reachable[pc] {
 			continue
 		}
@@ -236,7 +185,7 @@ func (v *verifier) scanBlock(f funcSpan, l uint32, leaders map[uint32]bool) *Blo
 	pc := l
 	for pc < f.end && v.isCode(pc) {
 		in := v.ins[v.idx(pc)]
-		if x := v.cfg.control[pc]; x != nil {
+		if x := v.control[pc]; x != nil {
 			// Control unit: transfer then its delay slot, in issue order.
 			slot := pc + v.ib
 			b.PCs = append(b.PCs, pc, slot)
@@ -256,7 +205,7 @@ func (v *verifier) scanBlock(f funcSpan, l uint32, leaders map[uint32]bool) *Blo
 		}
 		b.PCs = append(b.PCs, pc)
 		b.Instrs = append(b.Instrs, in)
-		if v.cfg.halts[pc] {
+		if v.halts[pc] {
 			b.Halts = true
 			break
 		}

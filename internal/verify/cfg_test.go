@@ -23,9 +23,10 @@ func TestCFGConsistency(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: compile: %v", b.Name, err)
 				}
-				g, rep := verify.CFGOf(c.Image, spec)
+				rep := verify.Image(c.Image, spec)
+				g := rep.CFG()
 				if g == nil {
-					t.Fatalf("%s: image rejected: %v", b.Name, rep.Err())
+					t.Fatalf("%s: clean image (%v) carries no CFG", b.Name, rep.Err())
 				}
 				if g.ByEntry[g.Entry] == nil {
 					t.Fatalf("%s: no function at image entry %#x", b.Name, g.Entry)

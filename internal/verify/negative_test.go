@@ -115,7 +115,8 @@ func violationDump(rep *verify.Report) string {
 }
 
 // TestNegativeCorpus: every hand-written bad program is rejected with a
-// violation anchored at the exact offending PC.
+// violation anchored at the exact offending PC, and its report carries
+// no CFG.
 func TestNegativeCorpus(t *testing.T) {
 	for _, tc := range corpusCases {
 		t.Run(tc.file, func(t *testing.T) {
@@ -124,6 +125,9 @@ func TestNegativeCorpus(t *testing.T) {
 			rep := verify.Image(img, spec)
 			if rep.OK() {
 				t.Fatalf("%s verified clean, want rejection", tc.file)
+			}
+			if rep.CFG() != nil {
+				t.Errorf("%s: rejected report carries a CFG", tc.file)
 			}
 			for _, w := range tc.want {
 				requireViolation(t, rep, w)

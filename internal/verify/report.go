@@ -82,10 +82,16 @@ type Report struct {
 	Violations []Violation `json:"violations,omitempty"`
 
 	reachable map[uint32]bool
+	cfg       *CFG
 }
 
 // OK reports whether the image passed every check.
 func (r *Report) OK() bool { return len(r.Violations) == 0 }
+
+// CFG returns the control-flow graph the verifying walk reconstructed,
+// or nil when the image was rejected. Every block's instructions
+// provably decode and every edge passed the target checks.
+func (r *Report) CFG() *CFG { return r.cfg }
 
 // Err returns nil for a clean report and an *Error otherwise.
 func (r *Report) Err() error {

@@ -17,7 +17,9 @@ import (
 const maxViolations = 200
 
 // Image verifies a linked image against the target spec and returns the
-// full report.
+// full report. One reachability walk both checks the image and records
+// its control transfers, so a clean report also carries the
+// reconstructed control-flow graph (Report.CFG).
 func Image(img *prog.Image, spec *isa.Spec) *Report {
 	span := telemetry.StartSpan("verify", telemetry.String("config", spec.Name))
 	defer span.End()
@@ -30,9 +32,14 @@ func Image(img *prog.Image, spec *isa.Spec) *Report {
 			Enc:       img.Enc.String(),
 			reachable: map[uint32]bool{},
 		},
-		seen: map[string]bool{},
+		seen:    map[string]bool{},
+		control: map[uint32]*xferRec{},
+		halts:   map[uint32]bool{},
 	}
 	v.run()
+	if v.rep.OK() {
+		v.rep.cfg = v.buildCFG()
+	}
 	reg := telemetry.Default()
 	reg.Counter("verify.images").Inc()
 	reg.Counter("verify.instrs").Add(int64(v.rep.Instrs))
@@ -60,7 +67,11 @@ type verifier struct {
 	funcs  []funcSpan
 	starts map[uint32]string // function entry addresses -> name
 	seen   map[string]bool   // violation dedup (pc|check|msg)
-	cfg    *cfgRecorder      // non-nil when CFGOf wants the flow graph back
+
+	// The control transfers the walk resolves, by transfer PC, and the
+	// halting traps it reaches: buildCFG's input.
+	control map[uint32]*xferRec
+	halts   map[uint32]bool
 }
 
 func (v *verifier) textEnd() uint32 { return isa.TextBase + uint32(len(v.img.Text)) }
