@@ -36,13 +36,15 @@ verify: $(BIN)/repro
 	$(BIN)/repro -verify
 
 # Short fuzz passes: random instruction streams must never panic the
-# verifier, and generated corpus programs must compile, verify and
+# verifier, generated corpus programs must compile, verify and
 # compute identical results on every ISA (the standing miscompile
-# fuzzer, docs/SWEEP.md).
+# fuzzer, docs/SWEEP.md), and any assembly text that parses must print
+# to text that parses back to the same statements and image.
 fuzz-short:
 	go test ./internal/verify/ -fuzz FuzzVerify -fuzztime 10s -run '^$$'
 	go test ./internal/mcc/ -fuzz FuzzDifferential -fuzztime 10s -run '^$$'
 	go test ./internal/static/ -fuzz FuzzContainment -fuzztime 10s -run '^$$'
+	go test ./internal/asm/ -fuzz FuzzAsmRoundTrip -fuzztime 10s -run '^$$'
 
 build:
 	go build ./...

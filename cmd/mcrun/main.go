@@ -299,7 +299,7 @@ func writePipeTrace(path string, e *pipeline.Engine, img *prog.Image) error {
 // functions by attributed cycles.
 func printAccount(e *pipeline.Engine, img *prog.Image) {
 	fmt.Fprintf(os.Stderr, "--- cycle accounting (%d cycles, %d ifetch bytes, %.3f CPI) ---\n",
-		e.Cycles(), e.FetchBytes(), float64(e.Cycles())/float64(max64(e.Instrs, 1)))
+		e.Cycles(), e.FetchBytes(), float64(e.Cycles())/float64(max(e.Instrs, 1)))
 	pipeline.WriteBreakdown(os.Stderr, []string{"cycles"}, []pipeline.Breakdown{e.Breakdown()})
 	funcs := e.PerFunc(prog.NewSymTable(img))
 	const top = 10
@@ -311,14 +311,7 @@ func printAccount(e *pipeline.Engine, img *prog.Image) {
 		}
 		fmt.Fprintf(os.Stderr, "%12d  %6.1f  %12d  %6.1f  %s\n",
 			f.Cycles, 100*float64(f.Cycles)/float64(e.Cycles()),
-			f.FetchBytes, 100*float64(f.Buckets[pipeline.BUseful])/float64(max64(f.Cycles, 1)),
+			f.FetchBytes, 100*float64(f.Buckets[pipeline.BUseful])/float64(max(f.Cycles, 1)),
 			f.Name)
 	}
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }

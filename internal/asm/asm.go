@@ -7,8 +7,9 @@
 // (la/li, call, ret, j/jl to a label), manages D16 literal pools (the LDC
 // mechanism), and relaxes out-of-range branches into far sequences.
 //
-// Directives: .text .data .global .align .word .half .byte .asciiz .space
-// .pool — plus labels ("name:") and ;/# comments.
+// Its input is statements (Stmt): Parse reads them from text, the
+// compiler builds them, Format prints them. Directives: .text .data .bss
+// .global .align .word .half .byte .ascii(z) .space .pool.
 //
 // Delay slots are architectural and explicit: the assembler never inserts
 // them. Writers (including the compiler) place the delay-slot instruction
@@ -16,9 +17,6 @@
 package asm
 
 import (
-	"errors"
-	"fmt"
-	"strconv"
 	"strings"
 
 	"repro/internal/isa"
@@ -59,7 +57,7 @@ const (
 )
 
 type literal struct {
-	e    expr
+	e    Expr
 	addr uint32
 }
 
@@ -72,14 +70,14 @@ type item struct {
 
 	// itInstr
 	in      isa.Instr
-	tgt     expr
+	tgt     Expr
 	tgtKind tgtKind
 	noRelax bool // part of an already-expanded far sequence
 	lit     *literal
 
 	// itLabel / itWord / itHalf / itByte / itAscii / itSpace / itAlign
 	name  string
-	exprs []expr
+	exprs []Expr
 	data  []byte
 	n     uint32
 
@@ -87,110 +85,72 @@ type item struct {
 	lits []*literal
 }
 
-// Assembler holds one assembly unit in progress.
-type Assembler struct {
+// assembler holds one assembly unit in progress.
+type assembler struct {
+	errList
 	spec     *isa.Spec
 	items    []*item
 	sec      section
-	globals  map[string]bool
-	errs     []error
 	farSeq   int
-	file     string
 	bssBytes uint32
 }
 
-// Assemble assembles one complete program (a single unit; the compiler
-// concatenates the runtime library and all compiled code into one source).
+// Assemble assembles one complete program from text (a single unit):
+// Parse followed by AssembleStmts.
 func Assemble(file, src string, spec *isa.Spec) (*prog.Image, error) {
-	a := &Assembler{spec: spec, globals: map[string]bool{}, file: file}
+	stmts, err := Parse(file, src)
+	if err != nil {
+		return nil, err
+	}
+	return AssembleStmts(file, stmts, spec)
+}
+
+// AssembleStmts assembles one complete program from statements (the
+// compiler hands it the runtime library's and its own in one slice).
+func AssembleStmts(file string, stmts []Stmt, spec *isa.Spec) (*prog.Image, error) {
+	a := &assembler{errList: errList{file: file}, spec: spec}
 	span := telemetry.StartSpan("assemble", telemetry.String("file", file))
-	for i, line := range strings.Split(src, "\n") {
-		a.parseLine(i+1, line)
+	for i := range stmts {
+		a.build(i, &stmts[i])
 	}
 	span.End()
-	if len(a.errs) > 0 {
-		return nil, a.joined()
+	if err := a.err(); err != nil {
+		return nil, err
 	}
 	lspan := telemetry.StartSpan("link", telemetry.String("file", file))
 	defer lspan.End()
 	return a.link()
 }
 
-func (a *Assembler) errf(line int, format string, args ...any) {
-	a.errs = append(a.errs, fmt.Errorf("%s:%d: %s", a.file, line, fmt.Sprintf(format, args...)))
-}
-
-func (a *Assembler) joined() error {
-	const max = 20
-	errs := a.errs
-	if len(errs) > max {
-		errs = append(errs[:max:max], fmt.Errorf("... and %d more errors", len(a.errs)-max))
-	}
-	return errors.Join(errs...)
-}
-
-func (a *Assembler) add(it *item) *item {
+func (a *assembler) add(it *item) *item {
 	it.sec = a.sec
 	a.items = append(a.items, it)
 	return it
 }
 
-func (a *Assembler) instr(line int, in isa.Instr) *item {
+func (a *assembler) instr(line int, in isa.Instr) *item {
 	return a.add(&item{kind: itInstr, line: line, in: in})
 }
 
-// --- line parsing ---------------------------------------------------------
-
-func (a *Assembler) parseLine(lineNo int, raw string) {
-	line := strings.TrimSpace(stripComment(raw))
-	for {
-		i := strings.Index(line, ":")
-		if i < 0 {
-			break
-		}
-		name := strings.TrimSpace(line[:i])
-		if !validSymbol(name) {
-			break
-		}
-		a.add(&item{kind: itLabel, line: lineNo, name: name})
-		line = strings.TrimSpace(line[i+1:])
+// build turns statement i into items: the one place statements, parsed
+// or built by the compiler, become the linker's input.
+func (a *assembler) build(i int, s *Stmt) {
+	line := s.Line
+	if line == 0 {
+		line = i + 1
 	}
-	if line == "" {
-		return
+	switch s.Kind {
+	case LabelStmt:
+		a.add(&item{kind: itLabel, line: line, name: s.Name})
+	case DirStmt:
+		a.directive(line, s)
+	default:
+		a.buildInstr(line, s)
 	}
-	if line[0] == '.' {
-		a.parseDirective(lineNo, line)
-		return
-	}
-
-	fields := strings.SplitN(line, " ", 2)
-	mn := fields[0]
-	rest := ""
-	if len(fields) == 2 {
-		rest = fields[1]
-	}
-	var ops []operand
-	if strings.TrimSpace(rest) != "" {
-		for _, s := range splitOperands(rest) {
-			op, err := parseOperand(s)
-			if err != nil {
-				a.errf(lineNo, "%v", err)
-				return
-			}
-			ops = append(ops, op)
-		}
-	}
-	a.buildInstr(lineNo, mn, ops)
 }
 
-func (a *Assembler) parseDirective(lineNo int, line string) {
-	fields := strings.SplitN(line, " ", 2)
-	dir := fields[0]
-	rest := ""
-	if len(fields) == 2 {
-		rest = strings.TrimSpace(fields[1])
-	}
-	switch dir {
+func (a *assembler) directive(line int, s *Stmt) {
+	switch s.Name {
 	case ".text":
 		a.sec = secText
 	case ".data":
@@ -198,332 +158,177 @@ func (a *Assembler) parseDirective(lineNo int, line string) {
 	case ".bss":
 		a.sec = secBSS
 	case ".global", ".globl":
-		a.globals[rest] = true
 	case ".pool":
-		a.add(&item{kind: itPool, line: lineNo})
-	case ".align":
-		n, err := strconv.Atoi(rest)
-		if err != nil || n <= 0 || n&(n-1) != 0 {
-			a.errf(lineNo, "bad alignment %q", rest)
+		a.add(&item{kind: itPool, line: line})
+	case ".align", ".space":
+		// One constant size; an alignment is a nonzero power of two.
+		n, kind := int64(-1), itSpace
+		if len(s.Args) == 1 && s.Args[0].E.isConst() && s.Args[0].E.Mod == NoMod {
+			n = s.Args[0].E.Off
+		}
+		if s.Name == ".align" {
+			kind = itAlign
+			if n <= 0 || n&(n-1) != 0 {
+				n = -1
+			}
+		}
+		if n < 0 || n > int64(isa.MemSize) {
+			a.errf(line, "bad %s size", s.Name)
 			return
 		}
-		a.add(&item{kind: itAlign, line: lineNo, n: uint32(n)})
+		a.add(&item{kind: kind, line: line, n: uint32(n)})
 	case ".word", ".half", ".byte":
-		kind := map[string]itemKind{".word": itWord, ".half": itHalf, ".byte": itByte}[dir]
-		it := &item{kind: kind, line: lineNo}
-		for _, s := range splitOperands(rest) {
-			e, err := parseExpr(s)
-			if err != nil {
-				a.errf(lineNo, "%v", err)
-				return
-			}
-			it.exprs = append(it.exprs, e)
+		it := &item{kind: map[string]itemKind{".word": itWord, ".half": itHalf, ".byte": itByte}[s.Name], line: line}
+		for _, v := range s.Args {
+			it.exprs = append(it.exprs, v.E)
 		}
 		if len(it.exprs) == 0 {
-			a.errf(lineNo, "%s needs at least one value", dir)
+			a.errf(line, "%s needs at least one value", s.Name)
 			return
 		}
 		a.add(it)
 	case ".asciiz", ".ascii":
-		s, err := unquoteString(rest)
-		if err != nil {
-			a.errf(lineNo, "%v", err)
-			return
+		str := s.Str
+		if s.Name == ".asciiz" {
+			str += "\x00"
 		}
-		if dir == ".asciiz" {
-			s += "\x00"
-		}
-		a.add(&item{kind: itAscii, line: lineNo, data: []byte(s)})
-	case ".space":
-		n, err := strconv.Atoi(rest)
-		if err != nil || n < 0 {
-			a.errf(lineNo, "bad .space size %q", rest)
-			return
-		}
-		a.add(&item{kind: itSpace, line: lineNo, n: uint32(n)})
+		a.add(&item{kind: itAscii, line: line, data: []byte(str)})
 	default:
-		a.errf(lineNo, "unknown directive %s", dir)
+		a.errf(line, "unknown directive %s", s.Name)
 	}
 }
 
 // --- instruction building -------------------------------------------------
 
-func (a *Assembler) buildInstr(line int, mn string, ops []operand) {
-	switch mn {
-	case "la", "li":
-		a.expandLA(line, ops)
-		return
-	case "call":
-		a.expandCall(line, ops)
-		return
-	case "ret":
-		if len(ops) != 0 {
-			a.errf(line, "ret takes no operands")
-			return
-		}
-		a.instr(line, isa.Instr{Op: isa.J, Rs1: isa.RegLink})
-		return
-	case "b":
-		mn = "br"
+// hasShape reports whether the operand kinds spell shape: r register,
+// e expression, m disp(reg), l =literal.
+func hasShape(ops []Operand, shape string) bool {
+	if len(ops) != len(shape) {
+		return false
 	}
-
-	op, cond, ok := mnemonic(mn)
-	if !ok {
-		a.errf(line, "unknown mnemonic %q", mn)
-		return
-	}
-
-	wantReg := func(i int) (isa.Reg, bool) {
-		if i >= len(ops) || ops[i].kind != kindReg {
-			a.errf(line, "%s: operand %d must be a register", mn, i+1)
-			return isa.NoReg, false
+	for i, o := range ops {
+		if "reml"[o.Kind] != shape[i] {
+			return false
 		}
-		return ops[i].reg, true
+	}
+	return true
+}
+
+func (a *assembler) buildInstr(line int, s *Stmt) {
+	ops, op := s.Args, s.Op
+	r := func(i int) isa.Reg { return ops[i].Reg }
+	// tgt adds in with operand i's expression as its target.
+	tgt := func(in isa.Instr, i int, k tgtKind) {
+		it := a.instr(line, in)
+		it.tgt, it.tgtKind = ops[i].E, k
+	}
+	// form returns the index of the shape the operands have, or reports
+	// the mismatch and returns -1.
+	form := func(shapes ...string) int {
+		for i, sh := range shapes {
+			if hasShape(ops, sh) {
+				return i
+			}
+		}
+		a.errf(line, "%s: operands must be %s (r register, e expression, m disp(reg), l =literal)",
+			s.mnemonic(), strings.Join(shapes, " or "))
+		return -1
 	}
 
 	switch {
+	case s.Pseudo == LA:
+		if form("re") == 0 {
+			a.expandLA(line, r(0), ops[1].E)
+		}
+	case s.Pseudo == Call:
+		if form("e") == 0 {
+			a.jumpToLabel(line, isa.JL, ops[0].E)
+		}
+	case s.Pseudo == Ret:
+		if form("") == 0 {
+			a.instr(line, isa.Instr{Op: isa.J, Rs1: isa.RegLink})
+		}
 	case op == isa.NOP:
 		a.instr(line, isa.MakeNop())
-
 	case op == isa.LDC:
-		if len(ops) != 2 {
-			a.errf(line, "ldc needs destination and literal")
-			return
+		if f := form("rl", "re"); f >= 0 {
+			tgt(isa.Instr{Op: op, Rd: r(0), Rs1: isa.NoReg}, 1, [2]tgtKind{tgtLit, tgtAbs}[f])
 		}
-		rd, ok := wantReg(0)
-		if !ok {
-			return
-		}
-		switch ops[1].kind {
-		case kindLit:
-			it := a.instr(line, isa.Instr{Op: isa.LDC, Rd: rd, Rs1: isa.NoReg})
-			it.tgt, it.tgtKind = ops[1].e, tgtLit
-		case kindExpr:
-			it := a.instr(line, isa.Instr{Op: isa.LDC, Rd: rd, Rs1: isa.NoReg})
-			it.tgt, it.tgtKind = ops[1].e, tgtAbs
-		default:
-			a.errf(line, "ldc operand must be =literal or displacement")
-		}
-
 	case op.IsLoad() || op.IsStore():
-		if len(ops) != 2 {
-			a.errf(line, "%s needs value register and address", mn)
-			return
+		if form("rm") == 0 {
+			tgt(isa.Instr{Op: op, Rd: r(0), Rs1: r(1)}, 1, tgtAbs)
 		}
-		rd, ok := wantReg(0)
-		if !ok {
-			return
-		}
-		if ops[1].kind != kindMem {
-			a.errf(line, "%s: second operand must be disp(reg)", mn)
-			return
-		}
-		it := a.instr(line, isa.Instr{Op: op, Rd: rd, Rs1: ops[1].reg})
-		it.tgt, it.tgtKind = ops[1].e, tgtAbs
-
 	case op == isa.BR:
-		if len(ops) != 1 || ops[0].kind != kindExpr {
-			a.errf(line, "br needs a target")
-			return
+		if form("e") == 0 {
+			a.branchItem(line, isa.Instr{Op: op}, ops[0].E)
 		}
-		a.branchItem(line, isa.Instr{Op: isa.BR}, ops[0].e)
-
 	case op == isa.BZ || op == isa.BNZ:
-		in := isa.Instr{Op: op, Rs1: isa.RegCC}
-		var target expr
-		switch len(ops) {
+		switch form("e", "re") {
+		case 0:
+			a.branchItem(line, isa.Instr{Op: op, Rs1: isa.RegCC}, ops[0].E)
 		case 1:
-			if ops[0].kind != kindExpr {
-				a.errf(line, "%s needs a target", mn)
-				return
-			}
-			target = ops[0].e
-		case 2:
-			rs, ok := wantReg(0)
-			if !ok {
-				return
-			}
-			if ops[1].kind != kindExpr {
-				a.errf(line, "%s needs a target", mn)
-				return
-			}
-			in.Rs1, target = rs, ops[1].e
-		default:
-			a.errf(line, "%s needs [reg,] target", mn)
-			return
+			a.branchItem(line, isa.Instr{Op: op, Rs1: r(0)}, ops[1].E)
 		}
-		a.branchItem(line, in, target)
-
 	case op.IsJump():
-		if len(ops) != 1 {
-			a.errf(line, "%s needs one operand", mn)
-			return
+		switch form("r", "e") {
+		case 0:
+			a.instr(line, isa.Instr{Op: op, Rs1: r(0)})
+		case 1:
+			a.jumpToLabel(line, op, ops[0].E)
 		}
-		switch ops[0].kind {
-		case kindReg:
-			a.instr(line, isa.Instr{Op: op, Rs1: ops[0].reg})
-		case kindExpr:
-			a.jumpToLabel(line, op, ops[0].e)
-		default:
-			a.errf(line, "%s operand must be a register or target", mn)
+	case op == isa.MVI || op == isa.MVHI:
+		if form("re") == 0 {
+			tgt(isa.Instr{Op: op, Rd: r(0), HasImm: true}, 1, tgtAbs)
 		}
-
-	case op == isa.CMP:
-		var rd, rs1 isa.Reg
-		var right operand
-		switch len(ops) {
-		case 2: // D16 sugar: destination implicitly r0
-			r1, ok := wantReg(0)
-			if !ok {
-				return
-			}
-			rd, rs1, right = isa.RegCC, r1, ops[1]
-		case 3:
-			d, ok := wantReg(0)
-			if !ok {
-				return
-			}
-			r1, ok := wantReg(1)
-			if !ok {
-				return
-			}
-			rd, rs1, right = d, r1, ops[2]
-		default:
-			a.errf(line, "cmp needs 2 or 3 operands")
-			return
+	case op == isa.TRAP:
+		if form("e") == 0 {
+			tgt(isa.Instr{Op: op, HasImm: true}, 0, tgtAbs)
 		}
-		in := isa.Instr{Op: isa.CMP, Cond: cond, Rd: rd, Rs1: rs1}
-		if right.kind == kindReg {
-			in.Rs2 = right.reg
-			a.instr(line, in)
-		} else if right.kind == kindExpr {
-			in.HasImm = true
-			it := a.instr(line, in)
-			it.tgt, it.tgtKind = right.e, tgtAbs
-		} else {
-			a.errf(line, "cmp right operand must be register or immediate")
-		}
-
-	case op == isa.MVI || op == isa.MVHI || op == isa.TRAP:
-		var rd isa.Reg
-		idx := 0
-		if op != isa.TRAP {
-			r, ok := wantReg(0)
-			if !ok {
-				return
-			}
-			rd = r
-			idx = 1
-		}
-		if len(ops) != idx+1 || ops[idx].kind != kindExpr {
-			a.errf(line, "%s needs an immediate", mn)
-			return
-		}
-		it := a.instr(line, isa.Instr{Op: op, Rd: rd, HasImm: true})
-		it.tgt, it.tgtKind = ops[idx].e, tgtAbs
-
 	case op == isa.RDSR:
-		rd, ok := wantReg(0)
-		if !ok || len(ops) != 1 {
-			a.errf(line, "rdsr needs one destination register")
-			return
+		if form("r") == 0 {
+			a.instr(line, isa.Instr{Op: op, Rd: r(0)})
 		}
-		a.instr(line, isa.Instr{Op: isa.RDSR, Rd: rd})
-
 	case op == isa.MV || op == isa.MVFL || op == isa.MVFH || op == isa.MFFL ||
 		op == isa.MFFH || op == isa.FMV || (op >= isa.CVTSISF && op <= isa.CVTSFSI):
-		if len(ops) != 2 {
-			a.errf(line, "%s needs two registers", mn)
-			return
+		if form("rr") == 0 {
+			a.instr(line, isa.Instr{Op: op, Rd: r(0), Rs1: r(1)})
 		}
-		rd, ok := wantReg(0)
-		if !ok {
-			return
-		}
-		rs, ok := wantReg(1)
-		if !ok {
-			return
-		}
-		a.instr(line, isa.Instr{Op: op, Rd: rd, Rs1: rs})
-
 	case op == isa.NEG || op == isa.INV || op == isa.FNEGS || op == isa.FNEGD:
-		switch len(ops) {
-		case 1:
-			rd, ok := wantReg(0)
-			if !ok {
-				return
-			}
-			a.instr(line, isa.Instr{Op: op, Rd: rd, Rs1: rd})
-		case 2:
-			rd, ok := wantReg(0)
-			if !ok {
-				return
-			}
-			rs, ok := wantReg(1)
-			if !ok {
-				return
-			}
-			a.instr(line, isa.Instr{Op: op, Rd: rd, Rs1: rs})
-		default:
-			a.errf(line, "%s needs 1 or 2 registers", mn)
+		if f := form("r", "rr"); f >= 0 {
+			a.instr(line, isa.Instr{Op: op, Rd: r(0), Rs1: r(f)})
 		}
-
 	case op.IsFCmp():
-		if len(ops) != 2 {
-			a.errf(line, "%s needs two registers", mn)
-			return
+		if form("rr") == 0 {
+			a.instr(line, isa.Instr{Op: op, Cond: s.Cond, Rs1: r(0), Rs2: r(1)})
 		}
-		r1, ok := wantReg(0)
-		if !ok {
-			return
-		}
-		r2, ok := wantReg(1)
-		if !ok {
-			return
-		}
-		a.instr(line, isa.Instr{Op: op, Cond: cond, Rs1: r1, Rs2: r2})
-
 	default:
-		// Register-register / register-immediate ALU and FP arithmetic, in
-		// three-operand or two-operand (rd == rs1) form.
-		var rd, rs1 isa.Reg
-		var last operand
-		switch len(ops) {
-		case 2:
-			r, ok := wantReg(0)
-			if !ok {
-				return
-			}
-			rd, rs1, last = r, r, ops[1]
-		case 3:
-			d, ok := wantReg(0)
-			if !ok {
-				return
-			}
-			r1, ok := wantReg(1)
-			if !ok {
-				return
-			}
-			rd, rs1, last = d, r1, ops[2]
-		default:
-			a.errf(line, "%s needs 2 or 3 operands", mn)
+		// Compares and register-register / register-immediate ALU and FP
+		// arithmetic, in three-operand or two-operand form. A two-operand
+		// compare writes r0 (D16 sugar); a two-operand ALU op writes its
+		// left source.
+		shapes := []string{"rr", "rrr"}
+		if op == isa.CMP {
+			shapes = append(shapes, "re", "rre")
+		} else if op.HasImmediate() {
+			shapes = []string{"re", "rre"}
+		}
+		if form(shapes...) < 0 {
 			return
 		}
-		in := isa.Instr{Op: op, Rd: rd, Rs1: rs1}
-		switch {
-		case op.HasImmediate():
-			if last.kind != kindExpr {
-				a.errf(line, "%s needs an immediate operand", mn)
-				return
+		n := len(ops)
+		in := isa.Instr{Op: op, Rd: r(0), Rs1: r(n - 2)}
+		if op == isa.CMP {
+			in.Cond = s.Cond
+			if n == 2 {
+				in.Rd = isa.RegCC
 			}
-			in.HasImm = true
-			it := a.instr(line, in)
-			it.tgt, it.tgtKind = last.e, tgtAbs
-		case last.kind == kindReg:
-			in.Rs2 = last.reg
+		}
+		if ops[n-1].Kind == RegOp {
+			in.Rs2 = r(n - 1)
 			a.instr(line, in)
-		default:
-			a.errf(line, "%s needs a register operand (use the -i form for immediates)", mn)
+		} else {
+			in.HasImm = true
+			tgt(in, n-1, tgtAbs)
 		}
 	}
 }
@@ -531,9 +336,9 @@ func (a *Assembler) buildInstr(line int, mn string, ops []operand) {
 // branchItem records a PC-relative branch. A constant target expression is
 // a raw displacement (disassembler round-trip form); a symbolic one is
 // resolved and relaxed as needed.
-func (a *Assembler) branchItem(line int, in isa.Instr, target expr) {
+func (a *assembler) branchItem(line int, in isa.Instr, target Expr) {
 	it := a.instr(line, in)
-	if target.isConst() && target.mod == modNone {
+	if target.isConst() && target.Mod == NoMod {
 		it.tgt, it.tgtKind = target, tgtAbs
 		return
 	}
@@ -542,14 +347,14 @@ func (a *Assembler) branchItem(line int, in isa.Instr, target expr) {
 
 // jumpToLabel handles "j label" / "jl label": a J-type jump on DLXe, and a
 // literal-pool address load plus register jump on D16.
-func (a *Assembler) jumpToLabel(line int, op isa.Op, target expr) {
+func (a *assembler) jumpToLabel(line int, op isa.Op, target Expr) {
 	if op == isa.JZ || op == isa.JNZ {
 		a.errf(line, "%s requires a register target", op)
 		return
 	}
 	if a.spec.HasJType {
 		it := a.instr(line, isa.Instr{Op: op, HasImm: true})
-		if target.isConst() && target.mod == modNone {
+		if target.isConst() && target.Mod == NoMod {
 			it.tgt, it.tgtKind = target, tgtAbs
 		} else {
 			it.tgt, it.tgtKind = target, tgtJump
@@ -561,30 +366,16 @@ func (a *Assembler) jumpToLabel(line int, op isa.Op, target expr) {
 	a.instr(line, isa.Instr{Op: op, Rs1: isa.RegCC})
 }
 
-// expandCall emits the target's function-call sequence.
-func (a *Assembler) expandCall(line int, ops []operand) {
-	if len(ops) != 1 || ops[0].kind != kindExpr {
-		a.errf(line, "call needs a function symbol")
-		return
-	}
-	a.jumpToLabel(line, isa.JL, ops[0].e)
-}
-
 // expandLA emits the target's address/constant materialization sequence.
-func (a *Assembler) expandLA(line int, ops []operand) {
-	if len(ops) != 2 || ops[0].kind != kindReg || ops[1].kind != kindExpr {
-		a.errf(line, "la needs a register and an expression")
-		return
-	}
-	rd, e := ops[0].reg, ops[1].e
+func (a *assembler) expandLA(line int, rd isa.Reg, e Expr) {
 	if !rd.IsGPR() {
 		a.errf(line, "la destination must be a GPR")
 		return
 	}
 
 	if a.spec.Enc == isa.EncD16 {
-		if e.isConst() && e.mod == modNone && a.spec.FitsMVI(int32(e.off)) {
-			a.instr(line, isa.Instr{Op: isa.MVI, Rd: rd, Imm: int32(e.off), HasImm: true})
+		if e.isConst() && e.Mod == NoMod && a.spec.FitsMVI(int32(e.Off)) {
+			a.instr(line, isa.Instr{Op: isa.MVI, Rd: rd, Imm: int32(e.Off), HasImm: true})
 			return
 		}
 		lit := a.instr(line, isa.Instr{Op: isa.LDC, Rd: isa.RegCC, Rs1: isa.NoReg})
@@ -596,8 +387,8 @@ func (a *Assembler) expandLA(line int, ops []operand) {
 	}
 
 	// DLXe: constant folding when the value is known now.
-	if e.isConst() && e.mod == modNone {
-		v := e.off
+	if e.isConst() && e.Mod == NoMod {
+		v := e.Off
 		switch {
 		case v >= -32768 && v <= 32767:
 			a.instr(line, isa.Instr{Op: isa.MVI, Rd: rd, Imm: int32(v), HasImm: true})
@@ -613,12 +404,12 @@ func (a *Assembler) expandLA(line int, ops []operand) {
 		}
 		return
 	}
-	if e.mod != modNone {
+	if e.Mod != NoMod {
 		a.errf(line, "la operand cannot carry a lo16/hi16/gprel modifier")
 		return
 	}
 	hi := a.instr(line, isa.Instr{Op: isa.MVHI, Rd: rd, HasImm: true})
-	hi.tgt, hi.tgtKind = expr{mod: modHi16, sym: e.sym, off: e.off}, tgtAbs
+	hi.tgt, hi.tgtKind = Expr{Mod: Hi16, Sym: e.Sym, Off: e.Off}, tgtAbs
 	lo := a.instr(line, isa.Instr{Op: isa.ORI, Rd: rd, Rs1: rd, HasImm: true})
-	lo.tgt, lo.tgtKind = expr{mod: modLo16, sym: e.sym, off: e.off}, tgtAbs
+	lo.tgt, lo.tgtKind = Expr{Mod: Lo16, Sym: e.Sym, Off: e.Off}, tgtAbs
 }

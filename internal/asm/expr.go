@@ -8,68 +8,69 @@ import (
 	"repro/internal/isa"
 )
 
-// modifier adjusts how a symbolic expression value is materialized.
-type modifier uint8
+// Mod adjusts how a symbolic expression value is materialized.
+type Mod uint8
 
 const (
-	modNone  modifier = iota
-	modLo16           // lo16(x): low 16 bits of the value
-	modHi16           // hi16(x): high 16 bits of the value
-	modGPRel          // gprel(x): value - DataBase (displacement off gp)
+	NoMod Mod = iota
+	Lo16      // lo16(x): low 16 bits of the value
+	Hi16      // hi16(x): high 16 bits of the value
+	GPRel     // gprel(x): value - DataBase (displacement off gp)
 )
 
-// expr is a linked value: an optional symbol plus a constant offset, under
+var modNames = [...]string{Lo16: "lo16", Hi16: "hi16", GPRel: "gprel"}
+
+// Expr is a linked value: an optional symbol plus a constant offset, under
 // an optional modifier. This covers everything the code generator and
 // runtime library need: plain constants, symbol addresses, symbol+offset,
 // and the lo16/hi16/gprel relocation forms.
-type expr struct {
-	mod modifier
-	sym string
-	off int64
+type Expr struct {
+	Mod Mod
+	Sym string
+	Off int64
 }
 
-func (e expr) String() string {
-	inner := ""
+func (e Expr) String() string { return string(e.appendTo(nil)) }
+
+func (e Expr) appendTo(b []byte) []byte {
+	if e.Mod != NoMod {
+		b = append(append(b, modNames[e.Mod]...), '(')
+	}
 	switch {
-	case e.sym == "":
-		inner = strconv.FormatInt(e.off, 10)
-	case e.off == 0:
-		inner = e.sym
-	case e.off > 0:
-		inner = fmt.Sprintf("%s+%d", e.sym, e.off)
+	case e.Sym == "":
+		b = strconv.AppendInt(b, e.Off, 10)
+	case e.Off == 0:
+		b = append(b, e.Sym...)
+	case e.Off > 0:
+		b = strconv.AppendInt(append(append(b, e.Sym...), '+'), e.Off, 10)
 	default:
-		inner = fmt.Sprintf("%s%d", e.sym, e.off)
+		b = strconv.AppendInt(append(b, e.Sym...), e.Off, 10)
 	}
-	switch e.mod {
-	case modLo16:
-		return "lo16(" + inner + ")"
-	case modHi16:
-		return "hi16(" + inner + ")"
-	case modGPRel:
-		return "gprel(" + inner + ")"
+	if e.Mod != NoMod {
+		b = append(b, ')')
 	}
-	return inner
+	return b
 }
 
 // isConst reports whether the expression needs no symbol resolution.
-func (e expr) isConst() bool { return e.sym == "" }
+func (e Expr) isConst() bool { return e.Sym == "" }
 
 // eval computes the expression's value given a symbol resolver.
-func (e expr) eval(lookup func(string) (uint32, bool)) (int64, error) {
-	v := e.off
-	if e.sym != "" {
-		a, ok := lookup(e.sym)
+func (e Expr) eval(lookup func(string) (uint32, bool)) (int64, error) {
+	v := e.Off
+	if e.Sym != "" {
+		a, ok := lookup(e.Sym)
 		if !ok {
-			return 0, fmt.Errorf("undefined symbol %q", e.sym)
+			return 0, fmt.Errorf("undefined symbol %q", e.Sym)
 		}
 		v += int64(a)
 	}
-	switch e.mod {
-	case modLo16:
+	switch e.Mod {
+	case Lo16:
 		v = int64(uint32(v) & 0xFFFF)
-	case modHi16:
+	case Hi16:
 		v = int64(uint32(v) >> 16)
-	case modGPRel:
+	case GPRel:
 		v -= int64(isa.DataBase)
 	}
 	return v, nil
@@ -81,20 +82,12 @@ func (e expr) eval(lookup func(string) (uint32, bool)) (int64, error) {
 //	term    := number | charlit | symbol
 //	number  := ["-"] (decimal | 0x hex)
 //	charlit := 'c' with the usual escapes
-func parseExpr(s string) (expr, error) {
+func parseExpr(s string) (Expr, error) {
 	s = strings.TrimSpace(s)
-	var e expr
-	for _, m := range []struct {
-		prefix string
-		mod    modifier
-	}{
-		{"lo16(", modLo16},
-		{"hi16(", modHi16},
-		{"gprel(", modGPRel},
-	} {
-		if strings.HasPrefix(s, m.prefix) && strings.HasSuffix(s, ")") {
-			e.mod = m.mod
-			s = strings.TrimSuffix(strings.TrimPrefix(s, m.prefix), ")")
+	var e Expr
+	for m := Lo16; m <= GPRel; m++ {
+		if inner, ok := strings.CutPrefix(s, modNames[m]+"("); ok && strings.HasSuffix(inner, ")") {
+			e.Mod, s = m, strings.TrimSuffix(inner, ")")
 			break
 		}
 	}
@@ -132,24 +125,28 @@ func parseExpr(s string) (expr, error) {
 		if err != nil {
 			return e, err
 		}
-		e.off = int64(c) + adjust
+		e.Off = int64(c) + adjust
 	case term[0] == '-' || (term[0] >= '0' && term[0] <= '9'):
 		n, err := strconv.ParseInt(term, 0, 64)
 		if err != nil {
 			return e, fmt.Errorf("bad number %q", term)
 		}
-		e.off = n + adjust
+		e.Off = n + adjust
 	default:
 		if !validSymbol(term) {
 			return e, fmt.Errorf("bad symbol name %q", term)
 		}
-		e.sym = term
-		e.off = adjust
+		e.Sym, e.Off = term, adjust
 	}
 	return e, nil
 }
 
+// validSymbol reports whether s can name a label. A register name (r4,
+// f2, sp) cannot: an operand spelled that way reads as the register.
 func validSymbol(s string) bool {
+	if _, isReg := parseReg(s); isReg {
+		return false
+	}
 	for i, c := range s {
 		switch {
 		case c == '_' || c == '.' || c == '$':
@@ -163,6 +160,21 @@ func validSymbol(s string) bool {
 		}
 	}
 	return s != ""
+}
+
+// escapes pairs each byte a quoted literal spells with a backslash with
+// the letter that follows the backslash. The parser's unescape and the
+// printer's quote both read it.
+var escapes = [...][2]byte{{'\n', 'n'}, {'\t', 't'}, {'\r', 'r'}, {0, '0'}, {'\\', '\\'}, {'"', '"'}, {'\'', '\''}}
+
+// unescape returns the byte a backslash followed by letter stands for.
+func unescape(letter byte) (byte, bool) {
+	for _, e := range escapes {
+		if e[1] == letter {
+			return e[0], true
+		}
+	}
+	return 0, false
 }
 
 func parseCharLit(s string) (byte, error) {
@@ -179,24 +191,13 @@ func parseCharLit(s string) (byte, error) {
 	if len(body) != 2 {
 		return 0, fmt.Errorf("bad escape %q", s)
 	}
-	switch body[1] {
-	case 'n':
-		return '\n', nil
-	case 't':
-		return '\t', nil
-	case 'r':
-		return '\r', nil
-	case '0':
-		return 0, nil
-	case '\\':
-		return '\\', nil
-	case '\'':
-		return '\'', nil
+	if c, ok := unescape(body[1]); ok {
+		return c, nil
 	}
 	return 0, fmt.Errorf("unknown escape %q", s)
 }
 
-// unquoteString decodes a double-quoted .asciiz argument.
+// unquoteString decodes a double-quoted .ascii/.asciiz argument.
 func unquoteString(s string) (string, error) {
 	s = strings.TrimSpace(s)
 	if len(s) < 2 || s[0] != '"' || s[len(s)-1] != '"' {
@@ -214,22 +215,28 @@ func unquoteString(s string) (string, error) {
 		if i >= len(body) {
 			return "", fmt.Errorf("trailing backslash in %s", s)
 		}
-		switch body[i] {
-		case 'n':
-			b.WriteByte('\n')
-		case 't':
-			b.WriteByte('\t')
-		case 'r':
-			b.WriteByte('\r')
-		case '0':
-			b.WriteByte(0)
-		case '\\':
-			b.WriteByte('\\')
-		case '"':
-			b.WriteByte('"')
-		default:
+		c, ok := unescape(body[i])
+		if !ok {
 			return "", fmt.Errorf("unknown escape \\%c in %s", body[i], s)
 		}
+		b.WriteByte(c)
 	}
 	return b.String(), nil
+}
+
+// appendQuoted appends s as a double-quoted literal unquoteString reads
+// back.
+func appendQuoted(b []byte, s string) []byte {
+	b = append(b, '"')
+next:
+	for i := 0; i < len(s); i++ {
+		for _, e := range escapes {
+			if e[0] == s[i] && e[0] != '\'' {
+				b = append(b, '\\', e[1])
+				continue next
+			}
+		}
+		b = append(b, s[i])
+	}
+	return append(b, '"')
 }

@@ -10,7 +10,7 @@ func TestParseExprForms(t *testing.T) {
 		in   string
 		sym  string
 		off  int64
-		mod  modifier
+		mod  Mod
 		fail bool
 	}{
 		{in: "42", off: 42},
@@ -22,9 +22,9 @@ func TestParseExprForms(t *testing.T) {
 		{in: "foo+4", sym: "foo", off: 4},
 		{in: "foo-8", sym: "foo", off: -8},
 		{in: "foo+4-2", sym: "foo", off: 2},
-		{in: "lo16(foo+4)", sym: "foo", off: 4, mod: modLo16},
-		{in: "hi16(bar)", sym: "bar", mod: modHi16},
-		{in: "gprel(baz-4)", sym: "baz", off: -4, mod: modGPRel},
+		{in: "lo16(foo+4)", sym: "foo", off: 4, mod: Lo16},
+		{in: "hi16(bar)", sym: "bar", mod: Hi16},
+		{in: "gprel(baz-4)", sym: "baz", off: -4, mod: GPRel},
 		{in: "", fail: true},
 		{in: "foo+bar", fail: true},
 		{in: "12abc", fail: true},
@@ -42,7 +42,7 @@ func TestParseExprForms(t *testing.T) {
 			t.Errorf("parseExpr(%q): %v", tc.in, err)
 			continue
 		}
-		if e.sym != tc.sym || e.off != tc.off || e.mod != tc.mod {
+		if e.Sym != tc.sym || e.Off != tc.off || e.Mod != tc.mod {
 			t.Errorf("parseExpr(%q) = %+v", tc.in, e)
 		}
 	}
@@ -51,11 +51,11 @@ func TestParseExprForms(t *testing.T) {
 // Property: String/parseExpr round trip for symbol+offset expressions.
 func TestExprStringRoundTrip(t *testing.T) {
 	f := func(off int32, useSym bool, mod uint8) bool {
-		e := expr{off: int64(off)}
+		e := Expr{Off: int64(off)}
 		if useSym {
-			e.sym = "sym"
+			e.Sym = "sym"
 		}
-		e.mod = modifier(mod % 4)
+		e.Mod = Mod(mod % 4)
 		got, err := parseExpr(e.String())
 		if err != nil {
 			return false
@@ -75,14 +75,14 @@ func TestExprEval(t *testing.T) {
 		return 0, false
 	}
 	cases := []struct {
-		e    expr
+		e    Expr
 		want int64
 	}{
-		{expr{sym: "x", off: 8}, 0x41008},
-		{expr{sym: "x", mod: modGPRel}, 0x1000},
-		{expr{sym: "x", mod: modLo16}, 0x1000},
-		{expr{sym: "x", mod: modHi16}, 0x4},
-		{expr{off: -3}, -3},
+		{Expr{Sym: "x", Off: 8}, 0x41008},
+		{Expr{Sym: "x", Mod: GPRel}, 0x1000},
+		{Expr{Sym: "x", Mod: Lo16}, 0x1000},
+		{Expr{Sym: "x", Mod: Hi16}, 0x4},
+		{Expr{Off: -3}, -3},
 	}
 	for _, tc := range cases {
 		v, err := tc.e.eval(lookup)
@@ -94,7 +94,7 @@ func TestExprEval(t *testing.T) {
 			t.Errorf("eval(%v) = %#x, want %#x", tc.e, v, tc.want)
 		}
 	}
-	if _, err := (expr{sym: "ghost"}).eval(lookup); err == nil {
+	if _, err := (Expr{Sym: "ghost"}).eval(lookup); err == nil {
 		t.Error("undefined symbol must fail")
 	}
 }

@@ -12,7 +12,7 @@ import (
 )
 
 // link runs the layout/relaxation fixpoint and produces the final image.
-func (a *Assembler) link() (*prog.Image, error) {
+func (a *assembler) link() (*prog.Image, error) {
 	// A final implicit pool catches literals with no explicit .pool after
 	// them (small hand-written programs).
 	a.items = append(a.items, &item{kind: itPool, sec: secText})
@@ -41,7 +41,7 @@ func (a *Assembler) link() (*prog.Image, error) {
 
 // assignLiterals attaches every literal-pool reference to the next .pool
 // item, deduplicating identical expressions within one pool.
-func (a *Assembler) assignLiterals() {
+func (a *assembler) assignLiterals() {
 	var pending []*literal
 	for _, it := range a.items {
 		if it.sec != secText {
@@ -75,7 +75,7 @@ func align(v, n uint32) uint32 { return (v + n - 1) &^ (n - 1) }
 
 // layout assigns addresses and sizes to every item and builds the symbol
 // table.
-func (a *Assembler) layout() (map[string]uint32, error) {
+func (a *assembler) layout() (map[string]uint32, error) {
 	symbols := make(map[string]uint32)
 	text := isa.TextBase
 	data := isa.DataBase
@@ -116,57 +116,58 @@ func (a *Assembler) layout() (map[string]uint32, error) {
 	return symbols, nil
 }
 
-func (a *Assembler) layoutItem(it *item, cursor *uint32, symbols map[string]uint32, ib uint32) error {
-	{
-		switch it.kind {
-		case itInstr:
-			if it.sec != secText {
-				return fmt.Errorf("%s:%d: instruction outside .text", a.file, it.line)
-			}
-			it.addr, it.size = *cursor, ib
-		case itLabel:
-			if _, dup := symbols[it.name]; dup {
-				return fmt.Errorf("%s:%d: duplicate label %q", a.file, it.line, it.name)
-			}
-			it.addr, it.size = *cursor, 0
-			symbols[it.name] = *cursor
-		case itPool:
-			start := *cursor
-			aligned := align(start, 4)
-			for i, l := range it.lits {
-				l.addr = aligned + uint32(4*i)
-			}
-			it.addr = start
-			it.size = aligned - start + uint32(4*len(it.lits))
-			if len(it.lits) == 0 {
-				it.size = 0
-			}
-		case itAlign:
-			it.addr = *cursor
-			it.size = align(*cursor, it.n) - *cursor
-		case itWord:
-			aligned := align(*cursor, 4)
-			it.addr = *cursor
-			it.size = aligned - *cursor + uint32(4*len(it.exprs))
-		case itHalf:
-			aligned := align(*cursor, 2)
-			it.addr = *cursor
-			it.size = aligned - *cursor + uint32(2*len(it.exprs))
-		case itByte:
-			it.addr, it.size = *cursor, uint32(len(it.exprs))
-		case itAscii:
-			it.addr, it.size = *cursor, uint32(len(it.data))
-		case itSpace:
-			it.addr, it.size = *cursor, it.n
+func (a *assembler) layoutItem(it *item, cursor *uint32, symbols map[string]uint32, ib uint32) error {
+	switch it.kind {
+	case itInstr:
+		if it.sec != secText {
+			return fmt.Errorf("%s:%d: instruction outside .text", a.file, it.line)
 		}
-		*cursor += it.size
+		it.addr, it.size = *cursor, ib
+	case itLabel:
+		if _, dup := symbols[it.name]; dup {
+			return fmt.Errorf("%s:%d: duplicate label %q", a.file, it.line, it.name)
+		}
+		it.addr, it.size = *cursor, 0
+		symbols[it.name] = *cursor
+	case itPool:
+		start := *cursor
+		aligned := align(start, 4)
+		for i, l := range it.lits {
+			l.addr = aligned + uint32(4*i)
+		}
+		it.addr = start
+		it.size = aligned - start + uint32(4*len(it.lits))
+		if len(it.lits) == 0 {
+			it.size = 0
+		}
+	case itAlign:
+		it.addr = *cursor
+		it.size = align(*cursor, it.n) - *cursor
+	case itWord:
+		aligned := align(*cursor, 4)
+		it.addr = *cursor
+		it.size = aligned - *cursor + uint32(4*len(it.exprs))
+	case itHalf:
+		aligned := align(*cursor, 2)
+		it.addr = *cursor
+		it.size = aligned - *cursor + uint32(2*len(it.exprs))
+	case itByte:
+		it.addr, it.size = *cursor, uint32(len(it.exprs))
+	case itAscii:
+		it.addr, it.size = *cursor, uint32(len(it.data))
+	case itSpace:
+		it.addr, it.size = *cursor, it.n
+	}
+	*cursor += it.size
+	if *cursor > isa.MemSize {
+		return fmt.Errorf("%s:%d: section runs past the end of memory", a.file, it.line)
 	}
 	return nil
 }
 
 // branchInRange reports whether a short-form branch at addr can reach
 // target under the current spec.
-func (a *Assembler) branchInRange(addr, target uint32) bool {
+func (a *assembler) branchInRange(addr, target uint32) bool {
 	disp := int64(target) - int64(addr)
 	if a.spec.Enc == isa.EncD16 {
 		ioff := disp / int64(d16.Bytes)
@@ -178,7 +179,7 @@ func (a *Assembler) branchInRange(addr, target uint32) bool {
 // relax rewrites out-of-range short branches into far sequences. It
 // returns whether anything changed. Expansion is monotonic, so the layout
 // fixpoint terminates.
-func (a *Assembler) relax(symbols map[string]uint32) (bool, error) {
+func (a *assembler) relax(symbols map[string]uint32) (bool, error) {
 	changed := false
 	var out []*item
 	for idx := 0; idx < len(a.items); idx++ {
@@ -237,7 +238,7 @@ func (a *Assembler) relax(symbols map[string]uint32) (bool, error) {
 //
 //	br L    ->  j L
 //	bz  L   ->  bnz .F ; nop ; j L ; .F:<slot>
-func (a *Assembler) expandFar(it *item) ([]*item, *item, error) {
+func (a *assembler) expandFar(it *item) ([]*item, *item, error) {
 	mk := func(in isa.Instr) *item {
 		return &item{kind: itInstr, sec: secText, line: it.line, in: in, noRelax: true}
 	}
@@ -263,7 +264,7 @@ func (a *Assembler) expandFar(it *item) ([]*item, *item, error) {
 			invOp = isa.BNZ
 		}
 		inv := mk(isa.Instr{Op: invOp, Rs1: it.in.Rs1})
-		inv.tgt, inv.tgtKind = expr{sym: labName}, tgtBranch
+		inv.tgt, inv.tgtKind = Expr{Sym: labName}, tgtBranch
 		items := []*item{inv}
 		if a.spec.HasJType {
 			// Keep the jump out of the inverted branch's delay slot.
@@ -277,7 +278,7 @@ func (a *Assembler) expandFar(it *item) ([]*item, *item, error) {
 }
 
 // encode produces the final image bytes.
-func (a *Assembler) encode(symbols map[string]uint32) (*prog.Image, error) {
+func (a *assembler) encode(symbols map[string]uint32) (*prog.Image, error) {
 	lookup := func(s string) (uint32, bool) { v, ok := symbols[s]; return v, ok }
 	img := &prog.Image{
 		Enc:     a.spec.Enc,
@@ -408,7 +409,7 @@ func (a *Assembler) encode(symbols map[string]uint32) (*prog.Image, error) {
 // checkRegs validates register numbers against the target's visible
 // register files (this catches compiler bugs when a restricted DLXe config
 // accidentally uses a high register).
-func (a *Assembler) checkRegs(in isa.Instr) error {
+func (a *assembler) checkRegs(in isa.Instr) error {
 	for _, r := range []isa.Reg{in.Rd, in.Rs1, in.Rs2} {
 		if !r.Valid() {
 			continue

@@ -1,27 +1,109 @@
 package asm
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
 	"repro/internal/isa"
 )
 
-// operand is one parsed instruction operand.
-type operand struct {
-	kind operandKind
-	reg  isa.Reg // kindReg, and the base register of kindMem
-	e    expr    // kindExpr, kindMem (displacement), kindLit
+// errList collects one unit's diagnostics as "file:line: message".
+type errList struct {
+	file string
+	errs []error
 }
 
-type operandKind uint8
+func (l *errList) errf(line int, format string, args ...any) {
+	l.errs = append(l.errs, fmt.Errorf("%s:%d: %s", l.file, line, fmt.Sprintf(format, args...)))
+}
 
-const (
-	kindReg operandKind = iota
-	kindExpr
-	kindMem // expr(reg)
-	kindLit // =expr (literal-pool reference)
-)
+// err joins the first 20 diagnostics, or returns nil when there are none.
+func (l *errList) err() error {
+	const max = 20
+	errs := l.errs
+	if len(errs) > max {
+		errs = append(errs[:max:max], fmt.Errorf("... and %d more errors", len(l.errs)-max))
+	}
+	return errors.Join(errs...)
+}
+
+// Parse reads assembly text into statements, each carrying its source
+// line. It is the one reader of the syntax: labels ("name:", several may
+// lead a line), directives, instructions and ;/# comments.
+func Parse(file, src string) ([]Stmt, error) {
+	p := &errList{file: file}
+	var stmts []Stmt
+	for i, raw := range strings.Split(src, "\n") {
+		stmts = parseLine(p, stmts, i+1, raw)
+	}
+	return stmts, p.err()
+}
+
+func parseLine(p *errList, stmts []Stmt, lineNo int, raw string) []Stmt {
+	line := strings.TrimSpace(stripComment(raw))
+	for {
+		i := strings.Index(line, ":")
+		if i < 0 {
+			break
+		}
+		name := strings.TrimSpace(line[:i])
+		if !validSymbol(name) {
+			break
+		}
+		stmts = append(stmts, Stmt{Kind: LabelStmt, Line: lineNo, Name: name})
+		line = strings.TrimSpace(line[i+1:])
+	}
+	if line == "" {
+		return stmts
+	}
+	name, rest, _ := strings.Cut(line, " ")
+	s := Stmt{Kind: InstrStmt, Line: lineNo}
+	switch name {
+	case ".ascii", ".asciiz":
+		str, err := unquoteString(rest)
+		if err != nil {
+			p.errf(lineNo, "%v", err)
+			return stmts
+		}
+		return append(stmts, Stmt{Kind: DirStmt, Line: lineNo, Name: name, Str: str})
+	case "call":
+		s.Pseudo = Call
+	case "ret":
+		s.Pseudo = Ret
+	case "la", "li":
+		s.Pseudo = LA
+	case "b":
+		s.Op = isa.BR
+	default:
+		if name[0] == '.' {
+			s.Kind, s.Name = DirStmt, name
+			break
+		}
+		op, cond, ok := mnemonic(name)
+		if !ok {
+			p.errf(lineNo, "unknown mnemonic %q", name)
+			return stmts
+		}
+		s.Op, s.Cond = op, cond
+	}
+	for _, a := range splitOperands(rest) {
+		var op Operand
+		var err error
+		if s.Kind == DirStmt {
+			op.Kind = ExprOp
+			op.E, err = parseExpr(a)
+		} else {
+			op, err = parseOperand(a)
+		}
+		if err != nil {
+			p.errf(lineNo, "%v", err)
+			return stmts
+		}
+		s.Args = append(s.Args, op)
+	}
+	return append(stmts, s)
+}
 
 var regAliases = map[string]isa.Reg{
 	"lr": isa.RegLink,
@@ -52,20 +134,17 @@ func parseReg(s string) (isa.Reg, bool) {
 	return isa.R(n), true
 }
 
-func parseOperand(s string) (operand, error) {
+func parseOperand(s string) (Operand, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return operand{}, fmt.Errorf("empty operand")
+		return Operand{}, fmt.Errorf("empty operand")
 	}
 	if r, ok := parseReg(s); ok {
-		return operand{kind: kindReg, reg: r}, nil
+		return Operand{Kind: RegOp, Reg: r}, nil
 	}
 	if s[0] == '=' {
 		e, err := parseExpr(s[1:])
-		if err != nil {
-			return operand{}, err
-		}
-		return operand{kind: kindLit, e: e}, nil
+		return Operand{Kind: LitOp, E: e}, err
 	}
 	// expr(reg) memory form: find a trailing "(reg)" that is not part of a
 	// lo16(...)-style modifier call.
@@ -73,23 +152,17 @@ func parseOperand(s string) (operand, error) {
 		if i := strings.LastIndex(s, "("); i >= 0 {
 			if r, ok := parseReg(strings.TrimSpace(s[i+1 : len(s)-1])); ok {
 				dispStr := strings.TrimSpace(s[:i])
-				var disp expr
+				var disp Expr
+				var err error
 				if dispStr != "" {
-					var err error
 					disp, err = parseExpr(dispStr)
-					if err != nil {
-						return operand{}, err
-					}
 				}
-				return operand{kind: kindMem, reg: r, e: disp}, nil
+				return Operand{Kind: MemOp, Reg: r, E: disp}, err
 			}
 		}
 	}
 	e, err := parseExpr(s)
-	if err != nil {
-		return operand{}, err
-	}
-	return operand{kind: kindExpr, e: e}, nil
+	return Operand{Kind: ExprOp, E: e}, err
 }
 
 // splitOperands splits on top-level commas (commas never appear inside the

@@ -15,7 +15,8 @@ import "fmt"
 // Reg names one architectural register. General-purpose registers are
 // R(0)..R(31) and floating-point registers are F(0)..F(31); the two files
 // are disjoint namespaces folded into one type so that instructions can
-// carry either kind. The zero value NoReg means "no register operand".
+// carry either kind. The zero value is R(0), not NoReg: an instruction
+// field left unset names r0, and NoReg (0xFF) means "no register operand".
 type Reg uint8
 
 // NoReg is the absent-operand sentinel. It is deliberately distinct from

@@ -2,8 +2,8 @@ package mcc
 
 import (
 	"fmt"
-	"strings"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -20,16 +20,59 @@ import (
 //   - every control transfer gets a delay slot, filled by a scheduling
 //     pass when a safe predecessor instruction exists.
 
-// line is one emitted assembly line with scheduling metadata.
+// line is one emitted assembly statement with scheduling metadata.
 type line struct {
-	text    string
-	label   bool
-	dir     bool // directive (.pool etc.)
+	stmt    asm.Stmt
 	ctl     bool // control transfer with a delay slot
 	mem     bool // touches memory
 	slotted bool // already placed in a delay slot: semantically pinned
 	defs    []isa.Reg
 	uses    []isa.Reg
+}
+
+// isInstr reports whether the line is an instruction (not a label or a
+// directive).
+func (l *line) isInstr() bool { return l.stmt.Kind == asm.InstrStmt }
+
+// isNop reports whether the line is a nop (a delay slot not yet filled;
+// labels, directives and pseudos carry no Op).
+func (l *line) isNop() bool { return l.stmt.Op == isa.NOP }
+
+// Statement builders: an instruction from its operation, condition and
+// operands, and its operands.
+func insc(op isa.Op, cond isa.Cond, args ...asm.Operand) asm.Stmt {
+	return asm.Stmt{Op: op, Cond: cond, Args: args}
+}
+
+func ins(op isa.Op, args ...asm.Operand) asm.Stmt { return insc(op, isa.CondNone, args...) }
+
+// rins builds an instruction whose operands are all registers.
+func rins(op isa.Op, regs ...isa.Reg) asm.Stmt {
+	s := asm.Stmt{Op: op, Args: make([]asm.Operand, len(regs))}
+	for i, r := range regs {
+		s.Args[i] = reg(r)
+	}
+	return s
+}
+
+func reg(r isa.Reg) asm.Operand { return asm.Operand{Kind: asm.RegOp, Reg: r} }
+
+func exprOp(e asm.Expr) asm.Operand { return asm.Operand{Kind: asm.ExprOp, E: e} }
+
+func num[T int | int32 | int64 | uint32](v T) asm.Operand { return exprOp(asm.Expr{Off: int64(v)}) }
+
+func symOp(name string) asm.Operand { return exprOp(asm.Expr{Sym: name}) }
+
+func mem(off int32, base isa.Reg) asm.Operand {
+	return asm.Operand{Kind: asm.MemOp, Reg: base, E: asm.Expr{Off: int64(off)}}
+}
+
+func lit(e asm.Expr) asm.Operand { return asm.Operand{Kind: asm.LitOp, E: e} }
+
+func label(name string) asm.Stmt { return asm.Stmt{Kind: asm.LabelStmt, Name: name} }
+
+func dir(name string, args ...asm.Operand) asm.Stmt {
+	return asm.Stmt{Kind: asm.DirStmt, Name: name, Args: args}
 }
 
 // dataLayout accumulates the .data section so codegen can predict gp
@@ -41,72 +84,67 @@ type fpKey struct {
 }
 
 type dataLayout struct {
-	entries []string // emitted .data lines
+	entries []asm.Stmt // .data statements
 	offsets map[string]int32
 	cursor  int32
 	fpPool  map[fpKey]string
 	fpSeq   int
 
-	bss        []string // emitted .bss lines
+	bss        []asm.Stmt // .bss statements
 	bssCursor  int32
 	bssPending map[string]int32
 }
 
 func newDataLayout() *dataLayout {
-	return &dataLayout{offsets: map[string]int32{}, fpPool: map[fpKey]string{}}
+	return &dataLayout{offsets: map[string]int32{}, fpPool: map[fpKey]string{}, bssPending: map[string]int32{}}
 }
 
 func (d *dataLayout) alignTo(n int32) {
 	if rem := d.cursor % n; rem != 0 {
-		d.entries = append(d.entries, fmt.Sprintf("\t.align %d", n))
+		d.entries = append(d.entries, dir(".align", num(n)))
 		d.cursor += n - rem
 	}
 }
 
 func (d *dataLayout) label(name string) {
-	d.entries = append(d.entries, name+":")
+	d.entries = append(d.entries, label(name))
 	d.offsets[name] = d.cursor
 }
 
-func (d *dataLayout) words(vals ...string) {
-	d.entries = append(d.entries, "\t.word "+strings.Join(vals, ", "))
+func (d *dataLayout) words(vals ...int64) {
+	s := dir(".word", make([]asm.Operand, len(vals))...)
+	for i, v := range vals {
+		s.Args[i] = num(v)
+	}
+	d.entries = append(d.entries, s)
 	d.cursor += int32(4 * len(vals))
 }
 
-func (d *dataLayout) bytes(vals []string) {
-	d.entries = append(d.entries, "\t.byte "+strings.Join(vals, ", "))
-	d.cursor += int32(len(vals))
+func (d *dataLayout) byteVal(v uint8) {
+	d.entries = append(d.entries, dir(".byte", num(int32(v))))
+	d.cursor++
 }
 
 func (d *dataLayout) asciiz(s string) {
-	d.entries = append(d.entries, "\t.asciiz "+quoteAsm(s))
+	d.entries = append(d.entries, asm.Stmt{Kind: asm.DirStmt, Name: ".asciiz", Str: s})
 	d.cursor += int32(len(s) + 1)
 }
 
 func (d *dataLayout) space(n int32) {
-	d.entries = append(d.entries, fmt.Sprintf("\t.space %d", n))
+	d.entries = append(d.entries, dir(".space", num(n)))
 	d.cursor += n
 }
 
 // bssVar reserves zero-initialized storage (not counted in binary size).
 func (d *dataLayout) bssVar(name string, size, align int32) {
 	if rem := d.bssCursor % align; rem != 0 {
-		d.bss = append(d.bss, fmt.Sprintf("\t.align %d", align))
+		d.bss = append(d.bss, dir(".align", num(align)))
 		d.bssCursor += align - rem
 	}
-	d.bss = append(d.bss, name+":", fmt.Sprintf("\t.space %d", size))
-	d.offsets[name] = -1 // out of the gp window by policy; see gpOff
-	d.bssOffsets(name, d.bssCursor)
+	d.bss = append(d.bss, label(name), dir(".space", num(size)))
+	d.offsets[name] = -1             // out of the gp window by policy; see gpOff
+	d.bssPending[name] = d.bssCursor // resolved by finalizeBSS
 	d.bssCursor += size
-}
-
-// bssOffsets records the bss symbol's offset; resolved after data size is
-// final via finalizeBSS.
-func (d *dataLayout) bssOffsets(name string, off int32) {
-	if d.bssPending == nil {
-		d.bssPending = map[string]int32{}
-	}
-	d.bssPending[name] = off
 }
 
 // finalizeBSS computes gp offsets for bss symbols (bss follows data,
@@ -129,39 +167,14 @@ func (d *dataLayout) fpConst(bits uint64, double bool) string {
 	if double {
 		d.alignTo(8)
 		d.label(l)
-		d.words(fmt.Sprintf("%d", uint32(bits)), fmt.Sprintf("%d", uint32(bits>>32)))
+		d.words(int64(uint32(bits)), int64(bits>>32))
 	} else {
 		d.alignTo(4)
 		d.label(l)
-		d.words(fmt.Sprintf("%d", uint32(bits)))
+		d.words(int64(bits))
 	}
 	d.fpPool[key] = l
 	return l
-}
-
-func quoteAsm(s string) string {
-	var b strings.Builder
-	b.WriteByte('"')
-	for i := 0; i < len(s); i++ {
-		switch c := s[i]; c {
-		case '\n':
-			b.WriteString(`\n`)
-		case '\t':
-			b.WriteString(`\t`)
-		case '\r':
-			b.WriteString(`\r`)
-		case 0:
-			b.WriteString(`\0`)
-		case '\\':
-			b.WriteString(`\\`)
-		case '"':
-			b.WriteString(`\"`)
-		default:
-			b.WriteByte(c)
-		}
-	}
-	b.WriteByte('"')
-	return b.String()
 }
 
 // codegen emits one function.
@@ -233,16 +246,16 @@ func genFuncAsm(f *IRFunc, spec *isa.Spec, alloc *Alloc, data *dataLayout) ([]li
 		}
 	}
 	cg.layoutFrame()
-	cg.emitLabelRaw(f.Name + ":")
+	cg.emitLabel(f.Name)
 	cg.prologue()
 	for bi, b := range f.Blocks {
 		if bi > 0 || blockIsBranchTarget(f, b.ID) {
-			cg.emitLabelRaw(cg.blockLabel(b.ID) + ":")
+			cg.emitLabel(cg.blockLabel(b.ID))
 		}
 		cg.genBlock(b, bi)
 	}
 	cg.epilogue()
-	cg.emitDir("\t.pool")
+	cg.lines = append(cg.lines, line{stmt: dir(".pool")})
 	if cg.err != nil {
 		return nil, cg.err
 	}
@@ -269,27 +282,22 @@ func (cg *codegen) blockLabel(id int) string {
 
 // --- emission helpers --------------------------------------------------------
 
-func (cg *codegen) emitLabelRaw(text string) {
-	cg.lines = append(cg.lines, line{text: text, label: true})
+func (cg *codegen) emitLabel(name string) {
+	cg.lines = append(cg.lines, line{stmt: label(name)})
 }
 
-func (cg *codegen) emitDir(text string) {
-	cg.lines = append(cg.lines, line{text: text, dir: true})
+func (cg *codegen) emit(s asm.Stmt, defs, uses []isa.Reg) {
+	cg.lines = append(cg.lines, line{stmt: s, defs: defs, uses: uses})
 }
 
-func (cg *codegen) emit(text string, defs, uses []isa.Reg) {
-	cg.lines = append(cg.lines, line{text: "\t" + text, defs: defs, uses: uses})
-}
-
-func (cg *codegen) emitMem(text string, defs, uses []isa.Reg) {
-	cg.lines = append(cg.lines, line{text: "\t" + text, defs: defs, uses: uses, mem: true})
+func (cg *codegen) emitMem(s asm.Stmt, defs, uses []isa.Reg) {
+	cg.lines = append(cg.lines, line{stmt: s, defs: defs, uses: uses, mem: true})
 }
 
 // emitCtl emits a control transfer plus its delay-slot nop (the scheduler
 // may replace the nop).
-func (cg *codegen) emitCtl(text string, defs, uses []isa.Reg) {
-	cg.lines = append(cg.lines, line{text: "\t" + text, defs: defs, uses: uses, ctl: true})
-	cg.lines = append(cg.lines, line{text: "\tnop"})
+func (cg *codegen) emitCtl(s asm.Stmt, defs, uses []isa.Reg) {
+	cg.lines = append(cg.lines, line{stmt: s, defs: defs, uses: uses, ctl: true}, line{stmt: ins(isa.NOP)})
 }
 
 func rr(regs ...isa.Reg) []isa.Reg { return regs }

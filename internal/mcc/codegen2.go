@@ -1,9 +1,9 @@
 package mcc
 
 import (
-	"fmt"
 	"math"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -58,17 +58,17 @@ func (cg *codegen) dstReg(v VReg, which int) (isa.Reg, func()) {
 // sequence for the target.
 func (cg *codegen) loadConstInto(rd isa.Reg, v int32) {
 	if cg.spec.FitsMVI(v) {
-		cg.emit(fmt.Sprintf("mvi %s, %d", rd, v), rr(rd), nil)
+		cg.emit(ins(isa.MVI, reg(rd), num(v)), rr(rd), nil)
 		return
 	}
 	if cg.spec.Enc == isa.EncDLXe {
 		if v >= 0 && v <= 0xFFFF {
-			cg.emit(fmt.Sprintf("ori %s, r0, %d", rd, v), rr(rd), rr(isa.R(0)))
+			cg.emit(ins(isa.ORI, reg(rd), reg(isa.R(0)), num(v)), rr(rd), rr(isa.R(0)))
 			return
 		}
-		cg.emit(fmt.Sprintf("mvhi %s, %d", rd, int32(uint32(v)>>16)), rr(rd), nil)
+		cg.emit(ins(isa.MVHI, reg(rd), num(int32(uint32(v)>>16))), rr(rd), nil)
 		if lo := uint32(v) & 0xFFFF; lo != 0 {
-			cg.emit(fmt.Sprintf("ori %s, %s, %d", rd, rd, lo), rr(rd), rr(rd))
+			cg.emit(ins(isa.ORI, reg(rd), reg(rd), num(lo)), rr(rd), rr(rd))
 		}
 		return
 	}
@@ -79,32 +79,31 @@ func (cg *codegen) loadConstInto(rd isa.Reg, v int32) {
 			sh++
 		}
 		if base := v >> uint(sh); sh > 0 && cg.spec.FitsMVI(base) {
-			cg.emit(fmt.Sprintf("mvi %s, %d", rd, base), rr(rd), nil)
-			cg.emit(fmt.Sprintf("shli %s, %s, %d", rd, rd, sh), rr(rd), rr(rd))
+			cg.emit(ins(isa.MVI, reg(rd), num(base)), rr(rd), nil)
+			cg.emit(ins(isa.SHLI, reg(rd), reg(rd), num(sh)), rr(rd), rr(rd))
 			return
 		}
 	}
-	cg.emitMem(fmt.Sprintf("ldc r0, =%d", v), rr(isa.RegCC), nil)
+	cg.emitMem(ins(isa.LDC, reg(isa.RegCC), lit(asm.Expr{Off: int64(v)})), rr(isa.RegCC), nil)
 	if rd != isa.RegCC {
-		cg.emit(fmt.Sprintf("mv %s, r0", rd), rr(rd), rr(isa.RegCC))
+		cg.emit(rins(isa.MV, rd, isa.RegCC), rr(rd), rr(isa.RegCC))
 	}
 }
 
 // loadSymInto materializes a symbol address (+offset).
 func (cg *codegen) loadSymInto(rd isa.Reg, sym string, off int32) {
-	ref := sym
-	if off != 0 {
-		ref = fmt.Sprintf("%s+%d", sym, off)
-	}
+	ref := asm.Expr{Sym: sym, Off: int64(off)}
 	if cg.spec.Enc == isa.EncD16 {
-		cg.emitMem(fmt.Sprintf("ldc r0, =%s", ref), rr(isa.RegCC), nil)
+		cg.emitMem(ins(isa.LDC, reg(isa.RegCC), lit(ref)), rr(isa.RegCC), nil)
 		if rd != isa.RegCC {
-			cg.emit(fmt.Sprintf("mv %s, r0", rd), rr(rd), rr(isa.RegCC))
+			cg.emit(rins(isa.MV, rd, isa.RegCC), rr(rd), rr(isa.RegCC))
 		}
 		return
 	}
-	cg.emit(fmt.Sprintf("mvhi %s, hi16(%s)", rd, ref), rr(rd), nil)
-	cg.emit(fmt.Sprintf("ori %s, %s, lo16(%s)", rd, rd, ref), rr(rd), rr(rd))
+	hi, lo := ref, ref
+	hi.Mod, lo.Mod = asm.Hi16, asm.Lo16
+	cg.emit(ins(isa.MVHI, reg(rd), exprOp(hi)), rr(rd), nil)
+	cg.emit(ins(isa.ORI, reg(rd), reg(rd), exprOp(lo)), rr(rd), rr(rd))
 }
 
 // --- word memory helpers ---------------------------------------------------------
@@ -117,7 +116,7 @@ func (cg *codegen) fitsWordDisp(off int32) bool { return cg.spec.FitsMemDisp(off
 // rd is the base).
 func (cg *codegen) loadWordInto(rd isa.Reg, base isa.Reg, off int32) {
 	if cg.fitsWordDisp(off) {
-		cg.emitMem(fmt.Sprintf("ld %s, %d(%s)", rd, off, base), rr(rd), rr(base))
+		cg.emitMem(ins(isa.LD, reg(rd), mem(off, base)), rr(rd), rr(base))
 		return
 	}
 	t := rd
@@ -125,14 +124,14 @@ func (cg *codegen) loadWordInto(rd isa.Reg, base isa.Reg, off int32) {
 		t = cg.scratchI[1]
 	}
 	cg.addImmInto(t, base, off)
-	cg.emitMem(fmt.Sprintf("ld %s, 0(%s)", rd, t), rr(rd), rr(t))
+	cg.emitMem(ins(isa.LD, reg(rd), mem(0, t)), rr(rd), rr(t))
 }
 
 // storeWordFrom stores rs to mem[base+off]; addrScratch is used when the
 // displacement is out of range (must differ from rs and base).
 func (cg *codegen) storeWordFrom(rs isa.Reg, base isa.Reg, off int32, addrScratch isa.Reg) {
 	if cg.fitsWordDisp(off) {
-		cg.emitMem(fmt.Sprintf("st %s, %d(%s)", rs, off, base), nil, rr(rs, base))
+		cg.emitMem(ins(isa.ST, reg(rs), mem(off, base)), nil, rr(rs, base))
 		return
 	}
 	if !addrScratch.Valid() {
@@ -140,7 +139,7 @@ func (cg *codegen) storeWordFrom(rs isa.Reg, base isa.Reg, off int32, addrScratc
 		return
 	}
 	cg.addImmInto(addrScratch, base, off)
-	cg.emitMem(fmt.Sprintf("st %s, 0(%s)", rs, addrScratch), nil, rr(rs, addrScratch))
+	cg.emitMem(ins(isa.ST, reg(rs), mem(0, addrScratch)), nil, rr(rs, addrScratch))
 }
 
 // addImmInto computes rd = base + imm with target-legal sequences.
@@ -153,17 +152,17 @@ func (cg *codegen) addImmInto(rd, base isa.Reg, imm int32) {
 	switch {
 	case imm >= 0 && cg.spec.FitsALUImm(imm):
 		if three || rd == base {
-			cg.emit(fmt.Sprintf("addi %s, %s, %d", rd, base, imm), rr(rd), rr(base))
+			cg.emit(ins(isa.ADDI, reg(rd), reg(base), num(imm)), rr(rd), rr(base))
 		} else {
 			cg.moveInt(rd, base)
-			cg.emit(fmt.Sprintf("addi %s, %s, %d", rd, rd, imm), rr(rd), rr(rd))
+			cg.emit(ins(isa.ADDI, reg(rd), reg(rd), num(imm)), rr(rd), rr(rd))
 		}
 	case imm < 0 && cg.spec.FitsALUImm(-imm):
 		if three || rd == base {
-			cg.emit(fmt.Sprintf("subi %s, %s, %d", rd, base, -imm), rr(rd), rr(base))
+			cg.emit(ins(isa.SUBI, reg(rd), reg(base), num(-imm)), rr(rd), rr(base))
 		} else {
 			cg.moveInt(rd, base)
-			cg.emit(fmt.Sprintf("subi %s, %s, %d", rd, rd, -imm), rr(rd), rr(rd))
+			cg.emit(ins(isa.SUBI, reg(rd), reg(rd), num(-imm)), rr(rd), rr(rd))
 		}
 	default:
 		if rd == base {
@@ -183,30 +182,30 @@ func (cg *codegen) addImmInto(rd, base isa.Reg, imm int32) {
 
 func (cg *codegen) emitAddReg(rd, ra, rb isa.Reg) {
 	if cg.spec.ThreeAddress {
-		cg.emit(fmt.Sprintf("add %s, %s, %s", rd, ra, rb), rr(rd), rr(ra, rb))
+		cg.emit(rins(isa.ADD, rd, ra, rb), rr(rd), rr(ra, rb))
 		return
 	}
 	if rd == ra {
-		cg.emit(fmt.Sprintf("add %s, %s, %s", rd, rd, rb), rr(rd), rr(rd, rb))
+		cg.emit(rins(isa.ADD, rd, rd, rb), rr(rd), rr(rd, rb))
 		return
 	}
 	if rd == rb { // commutative
-		cg.emit(fmt.Sprintf("add %s, %s, %s", rd, rd, ra), rr(rd), rr(rd, ra))
+		cg.emit(rins(isa.ADD, rd, rd, ra), rr(rd), rr(rd, ra))
 		return
 	}
 	cg.moveInt(rd, ra)
-	cg.emit(fmt.Sprintf("add %s, %s, %s", rd, rd, rb), rr(rd), rr(rd, rb))
+	cg.emit(rins(isa.ADD, rd, rd, rb), rr(rd), rr(rd, rb))
 }
 
 func (cg *codegen) moveInt(rd, rs isa.Reg) {
 	if rd != rs {
-		cg.emit(fmt.Sprintf("mv %s, %s", rd, rs), rr(rd), rr(rs))
+		cg.emit(rins(isa.MV, rd, rs), rr(rd), rr(rs))
 	}
 }
 
 func (cg *codegen) moveFP(rd, rs isa.Reg) {
 	if rd != rs {
-		cg.emit(fmt.Sprintf("fmv %s, %s", rd, rs), rr(rd), rr(rs))
+		cg.emit(rins(isa.FMV, rd, rs), rr(rd), rr(rs))
 	}
 }
 
@@ -215,23 +214,23 @@ func (cg *codegen) moveFP(rd, rs isa.Reg) {
 func (cg *codegen) loadFPFrom(fd isa.Reg, base isa.Reg, off int32, double bool, is isa.Reg) {
 	if double {
 		if cg.fitsWordDisp(off) && cg.fitsWordDisp(off+4) {
-			cg.emitMem(fmt.Sprintf("ld %s, %d(%s)", is, off, base), rr(is), rr(base))
-			cg.emit(fmt.Sprintf("mvfl %s, %s", fd, is), rr(fd), rr(is))
-			cg.emitMem(fmt.Sprintf("ld %s, %d(%s)", is, off+4, base), rr(is), rr(base))
-			cg.emit(fmt.Sprintf("mvfh %s, %s", fd, is), rr(fd), rr(is))
+			cg.emitMem(ins(isa.LD, reg(is), mem(off, base)), rr(is), rr(base))
+			cg.emit(rins(isa.MVFL, fd, is), rr(fd), rr(is))
+			cg.emitMem(ins(isa.LD, reg(is), mem(off+4, base)), rr(is), rr(base))
+			cg.emit(rins(isa.MVFH, fd, is), rr(fd), rr(is))
 			return
 		}
 		// Compute the address into the other integer scratch.
 		a := cg.otherScratchI(is)
 		cg.addImmInto(a, base, off)
-		cg.emitMem(fmt.Sprintf("ld %s, 0(%s)", is, a), rr(is), rr(a))
-		cg.emit(fmt.Sprintf("mvfl %s, %s", fd, is), rr(fd), rr(is))
-		cg.emitMem(fmt.Sprintf("ld %s, 4(%s)", is, a), rr(is), rr(a))
-		cg.emit(fmt.Sprintf("mvfh %s, %s", fd, is), rr(fd), rr(is))
+		cg.emitMem(ins(isa.LD, reg(is), mem(0, a)), rr(is), rr(a))
+		cg.emit(rins(isa.MVFL, fd, is), rr(fd), rr(is))
+		cg.emitMem(ins(isa.LD, reg(is), mem(4, a)), rr(is), rr(a))
+		cg.emit(rins(isa.MVFH, fd, is), rr(fd), rr(is))
 		return
 	}
 	cg.loadWordInto(is, base, off)
-	cg.emit(fmt.Sprintf("mvfl %s, %s", fd, is), rr(fd), rr(is))
+	cg.emit(rins(isa.MVFL, fd, is), rr(fd), rr(is))
 }
 
 // storeFPTo stores FPR fs to base+off via the integer scratches.
@@ -239,21 +238,21 @@ func (cg *codegen) storeFPTo(fs isa.Reg, base isa.Reg, off int32, double bool) {
 	is := cg.scratchI[0]
 	if double {
 		if cg.fitsWordDisp(off) && cg.fitsWordDisp(off+4) {
-			cg.emit(fmt.Sprintf("mffl %s, %s", is, fs), rr(is), rr(fs))
-			cg.emitMem(fmt.Sprintf("st %s, %d(%s)", is, off, base), nil, rr(is, base))
-			cg.emit(fmt.Sprintf("mffh %s, %s", is, fs), rr(is), rr(fs))
-			cg.emitMem(fmt.Sprintf("st %s, %d(%s)", is, off+4, base), nil, rr(is, base))
+			cg.emit(rins(isa.MFFL, is, fs), rr(is), rr(fs))
+			cg.emitMem(ins(isa.ST, reg(is), mem(off, base)), nil, rr(is, base))
+			cg.emit(rins(isa.MFFH, is, fs), rr(is), rr(fs))
+			cg.emitMem(ins(isa.ST, reg(is), mem(off+4, base)), nil, rr(is, base))
 			return
 		}
 		a := cg.otherScratchI(is)
 		cg.addImmInto(a, base, off)
-		cg.emit(fmt.Sprintf("mffl %s, %s", is, fs), rr(is), rr(fs))
-		cg.emitMem(fmt.Sprintf("st %s, 0(%s)", is, a), nil, rr(is, a))
-		cg.emit(fmt.Sprintf("mffh %s, %s", is, fs), rr(is), rr(fs))
-		cg.emitMem(fmt.Sprintf("st %s, 4(%s)", is, a), nil, rr(is, a))
+		cg.emit(rins(isa.MFFL, is, fs), rr(is), rr(fs))
+		cg.emitMem(ins(isa.ST, reg(is), mem(0, a)), nil, rr(is, a))
+		cg.emit(rins(isa.MFFH, is, fs), rr(is), rr(fs))
+		cg.emitMem(ins(isa.ST, reg(is), mem(4, a)), nil, rr(is, a))
 		return
 	}
-	cg.emit(fmt.Sprintf("mffl %s, %s", is, fs), rr(is), rr(fs))
+	cg.emit(rins(isa.MFFL, is, fs), rr(is), rr(fs))
 	cg.storeWordFrom(is, base, off, cg.otherScratchI(is))
 }
 
@@ -284,7 +283,7 @@ func (cg *codegen) prologue() {
 }
 
 func (cg *codegen) epilogue() {
-	cg.emitLabelRaw(cg.retLabel + ":")
+	cg.emitLabel(cg.retLabel)
 	for i, r := range cg.alloc.UsedCalleeSaved {
 		if r.IsFPR() {
 			cg.loadFPFrom(r, isa.RegSP, cg.calleeOff[i], true, cg.scratchI[0])
@@ -298,7 +297,7 @@ func (cg *codegen) epilogue() {
 	if cg.frameSize > 0 {
 		cg.addImmInto(isa.RegSP, isa.RegSP, cg.frameSize)
 	}
-	cg.emitCtl("ret", nil, rr(isa.RegLink))
+	cg.emitCtl(asm.Stmt{Pseudo: asm.Ret}, nil, rr(isa.RegLink))
 }
 
 // paramMoves moves incoming arguments (registers and stack) to their
@@ -512,7 +511,7 @@ func (cg *codegen) genCallIns(in *Ins) {
 		// r0 before the argument moves.
 		uses = append(uses, isa.RegCC)
 		cg.lines = append(cg.lines, line{
-			text: "\tjl r0", ctl: true, mem: true,
+			stmt: rins(isa.JL, isa.RegCC), ctl: true, mem: true,
 			defs: []isa.Reg{isa.RegLink}, uses: uses,
 		})
 	} else {
@@ -522,11 +521,11 @@ func (cg *codegen) genCallIns(in *Ins) {
 		}
 		defs := []isa.Reg{isa.RegLink, isa.RegCC} // D16 call goes through r0
 		cg.lines = append(cg.lines, line{
-			text: "\tcall " + sym, ctl: true, mem: true,
+			stmt: asm.Stmt{Pseudo: asm.Call, Args: []asm.Operand{symOp(sym)}}, ctl: true, mem: true,
 			defs: defs, uses: uses,
 		})
 	}
-	cg.lines = append(cg.lines, line{text: "\tnop"})
+	cg.lines = append(cg.lines, line{stmt: ins(isa.NOP)})
 
 	if in.Dst != NoV {
 		rd, commit := cg.dstReg(in.Dst, 0)
@@ -571,7 +570,7 @@ func (cg *codegen) genBuiltin(in *Ins) {
 		src := cg.srcReg(a, 0)
 		cg.moveInt(isa.RetReg, src)
 	}
-	cg.emit(fmt.Sprintf("trap %d", code), nil, rr(isa.RetReg, isa.FRetReg))
+	cg.emit(ins(isa.TRAP, num(code)), nil, rr(isa.RetReg, isa.FRetReg))
 }
 
 // fbits returns the bit pattern of an FP constant at the given precision.

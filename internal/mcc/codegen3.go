@@ -1,9 +1,7 @@
 package mcc
 
 import (
-	"fmt"
-	"strings"
-
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -64,9 +62,9 @@ func (cg *codegen) genIns(in *Ins, nextID int) {
 		rd, commit := cg.dstReg(in.Dst, 0)
 		if cg.spec.Enc == isa.EncD16 {
 			cg.moveInt(rd, a)
-			cg.emit(fmt.Sprintf("neg %s", rd), rr(rd), rr(rd))
+			cg.emit(rins(isa.NEG, rd), rr(rd), rr(rd))
 		} else {
-			cg.emit(fmt.Sprintf("sub %s, r0, %s", rd, a), rr(rd), rr(isa.R(0), a))
+			cg.emit(rins(isa.SUB, rd, isa.R(0), a), rr(rd), rr(isa.R(0), a))
 		}
 		commit()
 
@@ -75,11 +73,11 @@ func (cg *codegen) genIns(in *Ins, nextID int) {
 		rd, commit := cg.dstReg(in.Dst, 0)
 		if cg.spec.Enc == isa.EncD16 {
 			cg.moveInt(rd, a)
-			cg.emit(fmt.Sprintf("inv %s", rd), rr(rd), rr(rd))
+			cg.emit(rins(isa.INV, rd), rr(rd), rr(rd))
 		} else {
 			// ~a == -a - 1 (avoids needing a -1 materialization).
-			cg.emit(fmt.Sprintf("sub %s, r0, %s", rd, a), rr(rd), rr(isa.R(0), a))
-			cg.emit(fmt.Sprintf("subi %s, %s, 1", rd, rd), rr(rd), rr(rd))
+			cg.emit(rins(isa.SUB, rd, isa.R(0), a), rr(rd), rr(isa.R(0), a))
+			cg.emit(ins(isa.SUBI, reg(rd), reg(rd), num(1)), rr(rd), rr(rd))
 		}
 		commit()
 
@@ -99,12 +97,12 @@ func (cg *codegen) genIns(in *Ins, nextID int) {
 	case IFNeg:
 		a := cg.srcReg(in.A, 0)
 		rd, commit := cg.dstReg(in.Dst, 0)
-		suf := fpSuffix(in.Ty)
+		op := fpOp(in.Ty, isa.FNEGS, isa.FNEGD)
 		if cg.spec.ThreeAddress {
-			cg.emit(fmt.Sprintf("neg.%s %s, %s", suf, rd, a), rr(rd), rr(a))
+			cg.emit(rins(op, rd, a), rr(rd), rr(a))
 		} else {
 			cg.moveFP(rd, a)
-			cg.emit(fmt.Sprintf("neg.%s %s, %s", suf, rd, rd), rr(rd), rr(rd))
+			cg.emit(rins(op, rd, rd), rr(rd), rr(rd))
 		}
 		commit()
 
@@ -138,11 +136,11 @@ func (cg *codegen) genIns(in *Ins, nextID int) {
 				cg.moveInt(isa.RetReg, src)
 			}
 		}
-		cg.emitCtl("br "+cg.retLabel, nil, nil)
+		cg.emitCtl(ins(isa.BR, symOp(cg.retLabel)), nil, nil)
 
 	case IBr:
 		if int(in.Imm) != nextID {
-			cg.emitCtl("br "+cg.blockLabel(int(in.Imm)), nil, nil)
+			cg.emitCtl(ins(isa.BR, symOp(cg.blockLabel(int(in.Imm)))), nil, nil)
 		}
 
 	case ICondBr:
@@ -153,18 +151,19 @@ func (cg *codegen) genIns(in *Ins, nextID int) {
 	}
 }
 
-func fpSuffix(t Ty) string {
+// fpOp picks an FP operation's single- or double-precision form.
+func fpOp(t Ty, single, double isa.Op) isa.Op {
 	if t == TF64 {
-		return "df"
+		return double
 	}
-	return "sf"
+	return single
 }
 
 // --- integer ALU ----------------------------------------------------------------
 
 type opInfo struct {
-	reg  string
-	imm  string
+	reg  isa.Op
+	imm  isa.Op
 	comm bool
 	kind immKind
 }
@@ -178,14 +177,14 @@ const (
 )
 
 var intOps = map[IOp]opInfo{
-	IAdd: {"add", "addi", true, immALU},
-	ISub: {"sub", "subi", false, immALU},
-	IAnd: {"and", "andi", true, immLogical},
-	IOr:  {"or", "ori", true, immLogical},
-	IXor: {"xor", "xori", true, immLogical},
-	IShl: {"shl", "shli", false, immShift},
-	IShr: {"shr", "shri", false, immShift},
-	ISra: {"shra", "shrai", false, immShift},
+	IAdd: {isa.ADD, isa.ADDI, true, immALU},
+	ISub: {isa.SUB, isa.SUBI, false, immALU},
+	IAnd: {isa.AND, isa.ANDI, true, immLogical},
+	IOr:  {isa.OR, isa.ORI, true, immLogical},
+	IXor: {isa.XOR, isa.XORI, true, immLogical},
+	IShl: {isa.SHL, isa.SHLI, false, immShift},
+	IShr: {isa.SHR, isa.SHRI, false, immShift},
+	ISra: {isa.SHRA, isa.SHRAI, false, immShift},
 }
 
 func (cg *codegen) immFits(kind immKind, v int64) bool {
@@ -211,9 +210,9 @@ func (cg *codegen) genIntOp(in *Ins) {
 		op, imm := info.imm, v
 		// add with a negative immediate becomes subtract (and vice versa).
 		if in.Op == IAdd && v < 0 && cg.immFits(immALU, -v) {
-			op, imm = "subi", -v
+			op, imm = isa.SUBI, -v
 		} else if in.Op == ISub && v < 0 && cg.immFits(immALU, -v) {
-			op, imm = "addi", -v
+			op, imm = isa.ADDI, -v
 		} else if !cg.immFits(info.kind, v) {
 			// Immediate does not fit this target: materialize.
 			s := cg.scratchI[1]
@@ -221,13 +220,13 @@ func (cg *codegen) genIntOp(in *Ins) {
 			cg.emitIntRR(info, rd, a, s)
 			return
 		} else if in.Op == ISub && cg.immFits(immALU, v) {
-			op, imm = "subi", v
+			op, imm = isa.SUBI, v
 		}
 		if cg.spec.ThreeAddress || rd == a {
-			cg.emit(fmt.Sprintf("%s %s, %s, %d", op, rd, a, imm), rr(rd), rr(a))
+			cg.emit(ins(op, reg(rd), reg(a), num(imm)), rr(rd), rr(a))
 		} else {
 			cg.moveInt(rd, a)
-			cg.emit(fmt.Sprintf("%s %s, %s, %d", op, rd, rd, imm), rr(rd), rr(rd))
+			cg.emit(ins(op, reg(rd), reg(rd), num(imm)), rr(rd), rr(rd))
 		}
 		return
 	}
@@ -239,14 +238,14 @@ func (cg *codegen) genIntOp(in *Ins) {
 // legalization.
 func (cg *codegen) emitIntRR(info opInfo, rd, a, b isa.Reg) {
 	if cg.spec.ThreeAddress {
-		cg.emit(fmt.Sprintf("%s %s, %s, %s", info.reg, rd, a, b), rr(rd), rr(a, b))
+		cg.emit(rins(info.reg, rd, a, b), rr(rd), rr(a, b))
 		return
 	}
 	switch {
 	case rd == a:
-		cg.emit(fmt.Sprintf("%s %s, %s, %s", info.reg, rd, rd, b), rr(rd), rr(rd, b))
+		cg.emit(rins(info.reg, rd, rd, b), rr(rd), rr(rd, b))
 	case rd == b && info.comm:
-		cg.emit(fmt.Sprintf("%s %s, %s, %s", info.reg, rd, rd, a), rr(rd), rr(rd, a))
+		cg.emit(rins(info.reg, rd, rd, a), rr(rd), rr(rd, a))
 	case rd == b:
 		// Non-commutative with rd == b: preserve b in a scratch register
 		// distinct from a and rd (a occupies at most one scratch; rd == b
@@ -261,10 +260,10 @@ func (cg *codegen) emitIntRR(info opInfo, rd, a, b isa.Reg) {
 		}
 		cg.moveInt(s, b)
 		cg.moveInt(rd, a)
-		cg.emit(fmt.Sprintf("%s %s, %s, %s", info.reg, rd, rd, s), rr(rd), rr(rd, s))
+		cg.emit(rins(info.reg, rd, rd, s), rr(rd), rr(rd, s))
 	default:
 		cg.moveInt(rd, a)
-		cg.emit(fmt.Sprintf("%s %s, %s, %s", info.reg, rd, rd, b), rr(rd), rr(rd, b))
+		cg.emit(rins(info.reg, rd, rd, b), rr(rd), rr(rd, b))
 	}
 }
 
@@ -281,7 +280,7 @@ func (cg *codegen) emitIntCmp(in *Ins, rd isa.Reg) {
 		// compare-equal).
 		if in.HasBImm && cg.spec.CmpImm8 && cond == isa.EQ &&
 			in.BImm >= 0 && in.BImm <= 255 {
-			cg.emit(fmt.Sprintf("cmp.eq r0, %s, %d", a, in.BImm),
+			cg.emit(insc(isa.CMP, isa.EQ, reg(isa.RegCC), reg(a), num(in.BImm)),
 				rr(isa.RegCC), rr(a))
 			if rd != isa.RegCC {
 				cg.moveInt(rd, isa.RegCC)
@@ -299,7 +298,7 @@ func (cg *codegen) emitIntCmp(in *Ins, rd isa.Reg) {
 			cond = cond.Swapped()
 			a, b = b, a
 		}
-		cg.emit(fmt.Sprintf("cmp.%s r0, %s, %s", cond, a, b),
+		cg.emit(insc(isa.CMP, cond, reg(isa.RegCC), reg(a), reg(b)),
 			rr(isa.RegCC), rr(a, b))
 		if rd != isa.RegCC {
 			cg.moveInt(rd, isa.RegCC)
@@ -309,13 +308,13 @@ func (cg *codegen) emitIntCmp(in *Ins, rd isa.Reg) {
 
 	if in.HasBImm {
 		if cg.spec.HasCmpImm && in.BImm >= -32768 && in.BImm <= 32767 {
-			cg.emit(fmt.Sprintf("cmp.%s %s, %s, %d", cond, rd, a, in.BImm),
+			cg.emit(insc(isa.CMP, cond, reg(rd), reg(a), num(in.BImm)),
 				rr(rd), rr(a))
 			return
 		}
 		b := cg.scratchI[1]
 		cg.loadConstInto(b, int32(in.BImm))
-		cg.emit(fmt.Sprintf("cmp.%s %s, %s, %s", cond, rd, a, b), rr(rd), rr(a, b))
+		cg.emit(insc(isa.CMP, cond, reg(rd), reg(a), reg(b)), rr(rd), rr(a, b))
 		return
 	}
 	b := cg.srcReg(in.B, 1)
@@ -323,7 +322,7 @@ func (cg *codegen) emitIntCmp(in *Ins, rd isa.Reg) {
 		cond = cond.Swapped()
 		a, b = b, a
 	}
-	cg.emit(fmt.Sprintf("cmp.%s %s, %s, %s", cond, rd, a, b), rr(rd), rr(a, b))
+	cg.emit(insc(isa.CMP, cond, reg(rd), reg(a), reg(b)), rr(rd), rr(a, b))
 }
 
 // emitFloatCmp emits an FP compare whose boolean lands in rd. It returns
@@ -332,14 +331,14 @@ func (cg *codegen) emitIntCmp(in *Ins, rd isa.Reg) {
 // branch instead).
 func (cg *codegen) emitFloatCmp(in *Ins, rd isa.Reg) {
 	inverted := cg.emitFCmpStatus(in)
-	cg.emit(fmt.Sprintf("rdsr %s", rd), rr(rd), nil)
+	cg.emit(rins(isa.RDSR, rd), rr(rd), nil)
 	if inverted {
 		// rd = 1 - rd (values are 0/1).
-		cg.emit(fmt.Sprintf("subi %s, %s, 1", rd, rd), rr(rd), rr(rd))
+		cg.emit(ins(isa.SUBI, reg(rd), reg(rd), num(1)), rr(rd), rr(rd))
 		if cg.spec.Enc == isa.EncD16 {
-			cg.emit(fmt.Sprintf("neg %s", rd), rr(rd), rr(rd))
+			cg.emit(rins(isa.NEG, rd), rr(rd), rr(rd))
 		} else {
-			cg.emit(fmt.Sprintf("sub %s, r0, %s", rd, rd), rr(rd), rr(isa.R(0), rd))
+			cg.emit(rins(isa.SUB, rd, isa.R(0), rd), rr(rd), rr(isa.R(0), rd))
 		}
 	}
 }
@@ -361,8 +360,7 @@ func (cg *codegen) emitFCmpStatus(in *Ins) bool {
 		cond = isa.EQ
 		inverted = true
 	}
-	suf := fpSuffix(in.Ty)
-	cg.emit(fmt.Sprintf("cmp.%s.%s %s, %s", suf, cond, a, b), nil, rr(a, b))
+	cg.emit(insc(fpOp(in.Ty, isa.FCMPS, isa.FCMPD), cond, reg(a), reg(b)), nil, rr(a, b))
 	return inverted
 }
 
@@ -391,15 +389,15 @@ func (cg *codegen) genCondBr(cmp *Ins, br *Ins, nextID int) {
 	default: // IFCmp
 		inverted = cg.emitFCmpStatus(cmp)
 		cond = cg.cmpTargetReg(cmp)
-		cg.emit(fmt.Sprintf("rdsr %s", cond), rr(cond), nil)
+		cg.emit(rins(isa.RDSR, cond), rr(cond), nil)
 	}
 
 	brOn := func(takenIfNonzero bool, target string) {
-		op := "bz"
+		op := isa.BZ
 		if takenIfNonzero != inverted {
-			op = "bnz"
+			op = isa.BNZ
 		}
-		cg.emitCtl(fmt.Sprintf("%s %s, %s", op, cond, target), nil, rr(cond))
+		cg.emitCtl(ins(op, reg(cond), symOp(target)), nil, rr(cond))
 	}
 
 	switch {
@@ -409,7 +407,7 @@ func (cg *codegen) genCondBr(cmp *Ins, br *Ins, nextID int) {
 		brOn(false, cg.blockLabel(elseID))
 	default:
 		brOn(true, cg.blockLabel(thenID))
-		cg.emitCtl("br "+cg.blockLabel(elseID), nil, nil)
+		cg.emitCtl(ins(isa.BR, symOp(cg.blockLabel(elseID))), nil, nil)
 	}
 }
 
@@ -429,24 +427,24 @@ func (cg *codegen) cmpTargetReg(cmp *Ins) isa.Reg {
 // --- FP arithmetic -----------------------------------------------------------------
 
 func (cg *codegen) genFPOp(in *Ins) {
-	names := map[IOp]string{IFAdd: "add", IFSub: "sub", IFMul: "mul", IFDiv: "div"}
+	ops := map[IOp][2]isa.Op{IFAdd: {isa.FADDS, isa.FADDD}, IFSub: {isa.FSUBS, isa.FSUBD},
+		IFMul: {isa.FMULS, isa.FMULD}, IFDiv: {isa.FDIVS, isa.FDIVD}}[in.Op]
 	comm := in.Op == IFAdd || in.Op == IFMul
-	suf := fpSuffix(in.Ty)
 	a := cg.srcReg(in.A, 0)
 	b := cg.srcReg(in.B, 1)
 	rd, commit := cg.dstReg(in.Dst, 0)
 	defer commit()
-	op := names[in.Op]
+	op := fpOp(in.Ty, ops[0], ops[1])
 
 	if cg.spec.ThreeAddress {
-		cg.emit(fmt.Sprintf("%s.%s %s, %s, %s", op, suf, rd, a, b), rr(rd), rr(a, b))
+		cg.emit(rins(op, rd, a, b), rr(rd), rr(a, b))
 		return
 	}
 	switch {
 	case rd == a:
-		cg.emit(fmt.Sprintf("%s.%s %s, %s, %s", op, suf, rd, rd, b), rr(rd), rr(rd, b))
+		cg.emit(rins(op, rd, rd, b), rr(rd), rr(rd, b))
 	case rd == b && comm:
-		cg.emit(fmt.Sprintf("%s.%s %s, %s, %s", op, suf, rd, rd, a), rr(rd), rr(rd, a))
+		cg.emit(rins(op, rd, rd, a), rr(rd), rr(rd, a))
 	case rd == b:
 		s := cg.scratchF[0]
 		if s == a || s == rd {
@@ -457,36 +455,29 @@ func (cg *codegen) genFPOp(in *Ins) {
 		}
 		cg.moveFP(s, b)
 		cg.moveFP(rd, a)
-		cg.emit(fmt.Sprintf("%s.%s %s, %s, %s", op, suf, rd, rd, s), rr(rd), rr(rd, s))
+		cg.emit(rins(op, rd, rd, s), rr(rd), rr(rd, s))
 	default:
 		cg.moveFP(rd, a)
-		cg.emit(fmt.Sprintf("%s.%s %s, %s, %s", op, suf, rd, rd, b), rr(rd), rr(rd, b))
+		cg.emit(rins(op, rd, rd, b), rr(rd), rr(rd, b))
 	}
 }
 
+// cvtOps maps a (source, destination) type pair to its conversion.
+var cvtOps = map[[2]Ty]isa.Op{
+	{TI32, TF32}: isa.CVTSISF, {TI32, TF64}: isa.CVTSIDF, {TF32, TF64}: isa.CVTSFDF,
+	{TF64, TF32}: isa.CVTDFSF, {TF64, TI32}: isa.CVTDFSI, {TF32, TI32}: isa.CVTSFSI,
+}
+
 func (cg *codegen) genCvt(in *Ins) {
-	var name string
-	switch {
-	case in.SrcTy == TI32 && in.Ty == TF32:
-		name = "si2sf"
-	case in.SrcTy == TI32 && in.Ty == TF64:
-		name = "si2df"
-	case in.SrcTy == TF32 && in.Ty == TF64:
-		name = "sf2df"
-	case in.SrcTy == TF64 && in.Ty == TF32:
-		name = "df2sf"
-	case in.SrcTy == TF64 && in.Ty == TI32:
-		name = "df2si"
-	case in.SrcTy == TF32 && in.Ty == TI32:
-		name = "sf2si"
-	default:
+	name, ok := cvtOps[[2]Ty{in.SrcTy, in.Ty}]
+	if !ok {
 		// Same-type conversion degenerates to a move.
 		cg.genIns(&Ins{Op: IMov, Ty: in.Ty, Dst: in.Dst, A: in.A}, -1)
 		return
 	}
 	a := cg.srcReg(in.A, 0)
 	rd, commit := cg.dstReg(in.Dst, 0)
-	cg.emit(fmt.Sprintf("%s %s, %s", name, rd, a), rr(rd), rr(a))
+	cg.emit(rins(name, rd, a), rr(rd), rr(a))
 	commit()
 }
 
@@ -531,23 +522,23 @@ func (cg *codegen) genLoad(in *Ins) {
 }
 
 func (cg *codegen) loadSubword(rd, base isa.Reg, off int32, size uint8, signed bool) {
-	var name string
+	var name isa.Op
 	switch {
 	case size == 1 && signed:
-		name = "ldb"
+		name = isa.LDB
 	case size == 1:
-		name = "ldbu"
+		name = isa.LDBU
 	case size == 2 && signed:
-		name = "ldh"
+		name = isa.LDH
 	default:
-		name = "ldhu"
+		name = isa.LDHU
 	}
 	if cg.spec.SubwordDisp && off >= -32768 && off <= 32767 {
-		cg.emitMem(fmt.Sprintf("%s %s, %d(%s)", name, rd, off, base), rr(rd), rr(base))
+		cg.emitMem(ins(name, reg(rd), mem(off, base)), rr(rd), rr(base))
 		return
 	}
 	if off == 0 {
-		cg.emitMem(fmt.Sprintf("%s %s, 0(%s)", name, rd, base), rr(rd), rr(base))
+		cg.emitMem(ins(name, reg(rd), mem(0, base)), rr(rd), rr(base))
 		return
 	}
 	t := rd
@@ -555,7 +546,7 @@ func (cg *codegen) loadSubword(rd, base isa.Reg, off int32, size uint8, signed b
 		t = cg.scratchI[1]
 	}
 	cg.addImmInto(t, base, off)
-	cg.emitMem(fmt.Sprintf("%s %s, 0(%s)", name, rd, t), rr(rd), rr(t))
+	cg.emitMem(ins(name, reg(rd), mem(0, t)), rr(rd), rr(t))
 }
 
 func (cg *codegen) genStore(in *Ins) {
@@ -569,21 +560,21 @@ func (cg *codegen) genStore(in *Ins) {
 		cg.storeWordFrom(rs, base, off, cg.storeScratch(rs, base))
 	default:
 		rs := cg.srcReg(in.A, 0)
-		name := "stb"
+		name := isa.STB
 		if in.Size == 2 {
-			name = "sth"
+			name = isa.STH
 		}
 		if cg.spec.SubwordDisp && off >= -32768 && off <= 32767 {
-			cg.emitMem(fmt.Sprintf("%s %s, %d(%s)", name, rs, off, base), nil, rr(rs, base))
+			cg.emitMem(ins(name, reg(rs), mem(off, base)), nil, rr(rs, base))
 			return
 		}
 		if off == 0 {
-			cg.emitMem(fmt.Sprintf("%s %s, 0(%s)", name, rs, base), nil, rr(rs, base))
+			cg.emitMem(ins(name, reg(rs), mem(0, base)), nil, rr(rs, base))
 			return
 		}
 		t := cg.storeScratch(rs, base)
 		cg.addImmInto(t, base, off)
-		cg.emitMem(fmt.Sprintf("%s %s, 0(%s)", name, rs, t), nil, rr(rs, t))
+		cg.emitMem(ins(name, reg(rs), mem(0, t)), nil, rr(rs, t))
 	}
 }
 
@@ -652,11 +643,10 @@ func (cg *codegen) peephole() {
 	var out []line
 	for i := 0; i < len(cg.lines); i++ {
 		l := cg.lines[i]
-		if l.ctl && strings.HasPrefix(l.text, "\tbr ") && i+2 < len(cg.lines) {
-			target := strings.TrimPrefix(l.text, "\tbr ")
+		if l.ctl && l.stmt.Op == isa.BR && i+2 < len(cg.lines) {
 			nxt := cg.lines[i+1]
 			lab := cg.lines[i+2]
-			if nxt.text == "\tnop" && lab.label && strings.TrimSuffix(lab.text, ":") == target {
+			if nxt.isNop() && lab.stmt.Kind == asm.LabelStmt && l.stmt.Args[0].E == (asm.Expr{Sym: lab.stmt.Name}) {
 				out = append(out, lab)
 				i += 2
 				continue
@@ -674,12 +664,12 @@ func (cg *codegen) peephole() {
 func (cg *codegen) scheduleLoads() {
 	for i := 0; i+2 < len(cg.lines); i++ {
 		l := cg.lines[i]
-		if !l.mem || len(l.defs) == 0 || l.ctl || l.label || l.dir {
+		if !l.mem || len(l.defs) == 0 || l.ctl || !l.isInstr() {
 			continue // not a load
 		}
 		b := cg.lines[i+1]
 		c := cg.lines[i+2]
-		if b.label || b.dir || b.ctl || b.slotted || c.label || c.dir || c.ctl || c.slotted {
+		if !b.isInstr() || b.ctl || b.slotted || !c.isInstr() || c.ctl || c.slotted {
 			continue
 		}
 		if !regsOverlap(b.uses, l.defs) {
@@ -705,11 +695,11 @@ func (cg *codegen) scheduleLoads() {
 func (cg *codegen) schedule() {
 	for i := 1; i+1 < len(cg.lines); i++ {
 		ctl := cg.lines[i]
-		if !ctl.ctl || cg.lines[i+1].text != "\tnop" || len(cg.lines[i+1].defs) != 0 {
+		if !ctl.ctl || !cg.lines[i+1].isNop() || len(cg.lines[i+1].defs) != 0 {
 			continue
 		}
 		cand := cg.lines[i-1]
-		if cand.label || cand.dir || cand.ctl || cand.slotted || cand.text == "\tnop" {
+		if !cand.isInstr() || cand.ctl || cand.slotted || cand.isNop() {
 			continue
 		}
 		if regsOverlap(cand.defs, ctl.uses) || regsOverlap(cand.defs, ctl.defs) ||

@@ -29,11 +29,17 @@ type Compiled struct {
 }
 
 // Compile parses, optimizes and compiles src for the given target
-// configuration and assembles the result into a linked image.
+// configuration and assembles the result into a linked image. The
+// compiled statements follow the runtime library's in one slice that
+// goes straight to the assembler; no program text is built.
 func Compile(file, src string, spec *isa.Spec) (*Compiled, error) {
 	span := telemetry.StartSpan("compile",
 		telemetry.String("file", file), telemetry.String("config", spec.Name))
-	source, spills, err := GenAsm(file, src, spec)
+	stmts, spills, err := genStmts(file, src, spec)
+	var rt []asm.Stmt
+	if err == nil {
+		rt, err = asm.Parse(file+".s", RuntimeSource(spec))
+	}
 	span.End()
 	if err != nil {
 		return nil, err
@@ -41,9 +47,10 @@ func Compile(file, src string, spec *isa.Spec) (*Compiled, error) {
 	reg := telemetry.Default()
 	reg.Counter("mcc.compiles").Inc()
 	reg.Counter("mcc.spills").Add(int64(spills))
-	img, err := asm.Assemble(file+".s", source, spec)
+	img, err := asm.AssembleStmts(file+".s", append(rt, stmts...), spec)
 	if err != nil {
-		return nil, fmt.Errorf("mcc: internal assembly error: %w\n--- generated source ---\n%s", err, numberLines(source))
+		return nil, fmt.Errorf("mcc: internal assembly error: %w\n--- generated source ---\n%s",
+			err, numberLines(RuntimeSource(spec)+asm.Format(stmts)))
 	}
 	// Mandatory post-codegen gate: no image that fails static
 	// verification (encoding ranges, CFG integrity, def-before-use,
@@ -94,27 +101,40 @@ func numberLines(s string) string {
 	return b.String()
 }
 
-// GenAsm runs the full compiler pipeline and returns assembly text.
+// GenAsm runs the full compiler pipeline and returns assembly text: the
+// runtime library as written, then the compiled statements Compile
+// assembles, one per line. Each runtime line holds one statement, so
+// line i of the text is the assembler's statement i.
 func GenAsm(file, src string, spec *isa.Spec) (string, int, error) {
+	stmts, spills, err := genStmts(file, src, spec)
+	if err != nil {
+		return "", 0, err
+	}
+	return RuntimeSource(spec) + asm.Format(stmts), spills, nil
+}
+
+// genStmts runs the compiler pipeline and returns the program's
+// statements (without the runtime library) and its spill count.
+func genStmts(file, src string, spec *isa.Spec) ([]asm.Stmt, int, error) {
 	var p *Program
 	var err error
 	timedPass("parse", func() { p, err = Parse(file, src) })
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	if !hasMain(p) {
-		return "", 0, fmt.Errorf("%s: no function main", file)
+		return nil, 0, fmt.Errorf("%s: no function main", file)
 	}
 
 	var irFuncs []*IRFunc
 	timedPass("irgen", func() { irFuncs, err = GenIR(p) })
 	if err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 
 	data := newDataLayout()
 	if err := layoutGlobals(data, p); err != nil {
-		return "", 0, err
+		return nil, 0, err
 	}
 	// Floating-point constants must be registered before bss placement so
 	// gp offsets are final for legalization.
@@ -130,8 +150,7 @@ func GenAsm(file, src string, spec *isa.Spec) (string, int, error) {
 	}
 	data.finalizeBSS()
 
-	var out strings.Builder
-	out.WriteString(RuntimeSource(spec))
+	var out []asm.Stmt
 	spills := 0
 	for _, f := range irFuncs {
 		var removed int64
@@ -156,29 +175,20 @@ func GenAsm(file, src string, spec *isa.Spec) (string, int, error) {
 		var lines []line
 		timedPass("emit", func() { lines, err = genFuncAsm(f, spec, alloc, data) })
 		if err != nil {
-			return "", 0, err
+			return nil, 0, err
 		}
 		for _, l := range lines {
-			out.WriteString(l.text)
-			out.WriteByte('\n')
+			out = append(out, l.stmt)
 		}
 	}
 
 	if len(data.entries) > 0 {
-		out.WriteString("\t.data\n")
-		for _, e := range data.entries {
-			out.WriteString(e)
-			out.WriteByte('\n')
-		}
+		out = append(append(out, dir(".data")), data.entries...)
 	}
 	if len(data.bss) > 0 {
-		out.WriteString("\t.bss\n")
-		for _, e := range data.bss {
-			out.WriteString(e)
-			out.WriteByte('\n')
-		}
+		out = append(append(out, dir(".bss")), data.bss...)
 	}
-	return out.String(), spills, nil
+	return out, spills, nil
 }
 
 func hasMain(p *Program) bool {
@@ -234,24 +244,24 @@ func emitInit(data *dataLayout, g *GlobalDecl) error {
 		case *IntLit:
 			switch elem.K {
 			case KChar:
-				data.bytes([]string{fmt.Sprintf("%d", uint8(v.Val))})
+				data.byteVal(uint8(v.Val))
 			case KFloat:
-				data.words(fmt.Sprintf("%d", uint32(fbits(float64(v.Val), false))))
+				data.words(int64(fbits(float64(v.Val), false)))
 			case KDouble:
 				bits := fbits(float64(v.Val), true)
-				data.words(fmt.Sprintf("%d", uint32(bits)), fmt.Sprintf("%d", uint32(bits>>32)))
+				data.words(int64(uint32(bits)), int64(bits>>32))
 			default:
-				data.words(fmt.Sprintf("%d", int32(v.Val)))
+				data.words(int64(int32(v.Val)))
 			}
 		case *FloatLit:
 			switch elem.K {
 			case KFloat:
-				data.words(fmt.Sprintf("%d", uint32(fbits(v.Val, false))))
+				data.words(int64(fbits(v.Val, false)))
 			case KDouble:
 				bits := fbits(v.Val, true)
-				data.words(fmt.Sprintf("%d", uint32(bits)), fmt.Sprintf("%d", uint32(bits>>32)))
+				data.words(int64(uint32(bits)), int64(bits>>32))
 			default:
-				data.words(fmt.Sprintf("%d", int32(v.Val)))
+				data.words(int64(int32(v.Val)))
 			}
 		default:
 			return fmt.Errorf("mcc: non-constant initializer for %q", g.Sym.Name)

@@ -2,8 +2,10 @@ package mcc
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/isa"
 )
 
@@ -69,6 +71,21 @@ func TestRuntimeSourceAssemblesForAllConfigs(t *testing.T) {
 		src := RuntimeSource(spec)
 		if src == "" {
 			t.Fatalf("%s: empty runtime", spec)
+		}
+		// Compile appends its statements to the runtime's, and GenAsm
+		// prints the runtime as written: line i of GenAsm's text is
+		// statement i only while every runtime line holds one statement.
+		stmts, err := asm.Parse("rt.s", src)
+		if err != nil {
+			t.Fatalf("%s: %v", spec, err)
+		}
+		for i, s := range stmts {
+			if s.Line != i+1 {
+				t.Fatalf("%s: runtime statement %d (%s) is on line %d", spec, i, s, s.Line)
+			}
+		}
+		if n := strings.Count(src, "\n"); len(stmts) != n {
+			t.Errorf("%s: runtime has %d lines but %d statements", spec, n, len(stmts))
 		}
 		// The runtime is included in every compile; a trivial program
 		// exercises its assembly.
