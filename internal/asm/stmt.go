@@ -28,17 +28,17 @@ var pseudoNames = [...]string{Call: "call", Ret: "ret", LA: "la"}
 // AssembleStmts, and the unit Format prints, one per line.
 type Stmt struct {
 	Kind StmtKind
+	// Op and Cond are an instruction's operation and condition suffix;
+	// Pseudo, when set, replaces them.
+	Op     isa.Op
+	Cond   isa.Cond
+	Pseudo Pseudo
 	// Line is the source line for diagnostics. Zero numbers the
 	// statement by its position: statement i is line i+1, the line it
 	// prints on.
 	Line int
 	// Name is a label's name, or a directive's with its dot (".word").
 	Name string
-	// Op and Cond are an instruction's operation and condition suffix;
-	// Pseudo, when set, replaces them.
-	Op     isa.Op
-	Cond   isa.Cond
-	Pseudo Pseudo
 	// Args are an instruction's operands, or a directive's values (each
 	// an ExprOp).
 	Args []Operand

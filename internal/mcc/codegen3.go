@@ -640,7 +640,7 @@ func (cg *codegen) genFPConst(in *Ins) {
 // their delay-slot nops). Run before scheduling so filled slots are never
 // discarded.
 func (cg *codegen) peephole() {
-	var out []line
+	out := cg.lines[:0] // in place: out never passes the line being read
 	for i := 0; i < len(cg.lines); i++ {
 		l := cg.lines[i]
 		if l.ctl && l.stmt.Op == isa.BR && i+2 < len(cg.lines) {

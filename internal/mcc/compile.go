@@ -35,10 +35,10 @@ type Compiled struct {
 func Compile(file, src string, spec *isa.Spec) (*Compiled, error) {
 	span := telemetry.StartSpan("compile",
 		telemetry.String("file", file), telemetry.String("config", spec.Name))
-	stmts, spills, err := genStmts(file, src, spec)
-	var rt []asm.Stmt
+	rt, err := asm.Parse(file+".s", RuntimeSource(spec))
+	stmts, spills := rt, 0
 	if err == nil {
-		rt, err = asm.Parse(file+".s", RuntimeSource(spec))
+		stmts, spills, err = genStmts(rt, file, src, spec)
 	}
 	span.End()
 	if err != nil {
@@ -47,10 +47,10 @@ func Compile(file, src string, spec *isa.Spec) (*Compiled, error) {
 	reg := telemetry.Default()
 	reg.Counter("mcc.compiles").Inc()
 	reg.Counter("mcc.spills").Add(int64(spills))
-	img, err := asm.AssembleStmts(file+".s", append(rt, stmts...), spec)
+	img, err := asm.AssembleStmts(file+".s", stmts, spec)
 	if err != nil {
 		return nil, fmt.Errorf("mcc: internal assembly error: %w\n--- generated source ---\n%s",
-			err, numberLines(RuntimeSource(spec)+asm.Format(stmts)))
+			err, numberLines(RuntimeSource(spec)+asm.Format(stmts[len(rt):])))
 	}
 	// Mandatory post-codegen gate: no image that fails static
 	// verification (encoding ranges, CFG integrity, def-before-use,
@@ -106,16 +106,16 @@ func numberLines(s string) string {
 // assembles, one per line. Each runtime line holds one statement, so
 // line i of the text is the assembler's statement i.
 func GenAsm(file, src string, spec *isa.Spec) (string, int, error) {
-	stmts, spills, err := genStmts(file, src, spec)
+	stmts, spills, err := genStmts(nil, file, src, spec)
 	if err != nil {
 		return "", 0, err
 	}
 	return RuntimeSource(spec) + asm.Format(stmts), spills, nil
 }
 
-// genStmts runs the compiler pipeline and returns the program's
-// statements (without the runtime library) and its spill count.
-func genStmts(file, src string, spec *isa.Spec) ([]asm.Stmt, int, error) {
+// genStmts runs the compiler pipeline, appends the program's statements
+// to out, and returns them with the program's spill count.
+func genStmts(out []asm.Stmt, file, src string, spec *isa.Spec) ([]asm.Stmt, int, error) {
 	var p *Program
 	var err error
 	timedPass("parse", func() { p, err = Parse(file, src) })
@@ -150,7 +150,6 @@ func genStmts(file, src string, spec *isa.Spec) ([]asm.Stmt, int, error) {
 	}
 	data.finalizeBSS()
 
-	var out []asm.Stmt
 	spills := 0
 	for _, f := range irFuncs {
 		var removed int64
