@@ -33,8 +33,9 @@ func (l *errList) err() error {
 // lead a line), directives, instructions and ;/# comments.
 func Parse(file, src string) ([]Stmt, error) {
 	p := &errList{file: file}
-	var stmts []Stmt
-	for i, raw := range strings.Split(src, "\n") {
+	lines := strings.Split(src, "\n")
+	stmts := make([]Stmt, 0, len(lines))
+	for i, raw := range lines {
 		stmts = parseLine(p, stmts, i+1, raw)
 	}
 	return stmts, p.err()
