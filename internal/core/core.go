@@ -42,7 +42,6 @@ import (
 	"repro/internal/prog"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
-	"repro/internal/verify"
 )
 
 // Measurement is the full result of compiling and running one benchmark
@@ -148,10 +147,13 @@ func (s *ImmStats) Store(addr uint32, size uint32) {}
 //
 // Memoization is two-layered. Compiles are memoized per benchmark×ISA
 // in one-shot flights. Runs live in the scheduler's content-addressed
-// result cache, keyed by a hash of the program image plus the simulated
-// memory configuration, so repeated submissions — including ones
-// arriving over the batch HTTP API — are served without re-simulating.
-// A failed run is not cached: resubmitting it runs it again.
+// result cache, keyed by the benchmark's name, budget and source, the
+// configuration's name and the simulated memory configuration, so
+// repeated submissions — including ones arriving over the batch HTTP
+// API — are served without compiling or re-simulating. A run's job
+// compiles (through the memo) on the worker that runs it. A failed run
+// is not cached: resubmitting it runs it again. Forget drops one
+// program's compiles and results once a caller is done with them.
 type Lab struct {
 	sched  *jobs.Scheduler
 	shards int // most machines one run's observers are spread over (see run)
@@ -222,24 +224,28 @@ func (l *Lab) Scheduler() *jobs.Scheduler { return l.sched }
 
 func key(b *bench.Benchmark, spec *isa.Spec) string { return b.Name + "|" + spec.Name }
 
-// Compile compiles (with memoization) one benchmark for one target.
-// Compilation runs on the calling goroutine — it is cheap relative to
-// simulation and its output is needed to compute the run's content key.
+// Compile compiles (with memoization) one benchmark for one target on
+// the calling goroutine. Every run's job calls it on the worker that
+// runs it, so runs of one image share one compile.
 func (l *Lab) Compile(b *bench.Benchmark, spec *isa.Spec) (*mcc.Compiled, error) {
 	return flightDo(l, l.comp, key(b, spec), func() (*mcc.Compiled, error) {
 		return mcc.Compile(b.Name+".mc", b.Source, spec)
 	})
 }
 
-// hashImage folds everything execution-relevant about a linked program
-// image into h: the encoding, the entry state and the text and data
-// segments — plus the verifier rule-set version, so that results
-// admitted under an older verifier are invalidated when the rules
-// change.
-func hashImage(h *jobs.Hasher, img *prog.Image) *jobs.Hasher {
-	return h.Int(int64(verify.Version)).
-		Int(int64(img.Enc)).Bool(img.Cmp8).Int(int64(img.Entry)).
-		Int(int64(img.BSS)).Bytes(img.Text).Bytes(img.Data)
+// Forget drops b's compiles for specs from the memo and the results of
+// the given completed tickets from the result cache. A caller that has
+// drained a program's points calls it so the lab holds nothing of that
+// program; a later request compiles and runs it again.
+func (l *Lab) Forget(b *bench.Benchmark, specs []*isa.Spec, done ...*jobs.Ticket) {
+	l.mu.Lock()
+	for _, spec := range specs {
+		delete(l.comp, key(b, spec))
+	}
+	l.mu.Unlock()
+	for _, t := range done {
+		l.sched.Cache().Delete(t)
+	}
 }
 
 // runError is the one way a failed run reports itself: the run kind,
@@ -248,28 +254,29 @@ func runError(kind string, b *bench.Benchmark, spec *isa.Spec, err error) error 
 	return fmt.Errorf("core: %s %s on %s: %w", kind, b.Name, spec, err)
 }
 
-// submit compiles b for spec and submits one run of the given kind as a
-// job. The job's content key is the kind, the run's identity labels and
-// budget, the kind's parameters (added by params, when non-nil) and the
-// program image, so every distinct public call owns exactly one
-// result-cache entry. fn runs on a scheduler worker and its error comes
-// back wrapped by runError. try selects fail-fast backpressure (a full
-// queue returns jobs.ErrOverloaded) over blocking until space frees or
-// ctx ends.
+// submit submits one run of the given kind of b for spec as a job. The
+// job's content key is the kind, the run's identity labels and budget,
+// the kind's parameters (added by params, when non-nil) and b's source,
+// so every distinct public call owns exactly one result-cache entry and
+// a cache hit compiles nothing. The job compiles b (through the memo)
+// and calls fn on a scheduler worker: a compile error comes back from
+// Wait as Compile returned it, a run error wrapped by runError. try
+// selects fail-fast backpressure (a full queue returns
+// jobs.ErrOverloaded) over blocking until space frees or ctx ends.
 func (l *Lab) submit(ctx context.Context, try bool, kind string, b *bench.Benchmark, spec *isa.Spec,
 	params func(*jobs.Hasher), fn func(*mcc.Compiled) (any, error)) (*jobs.Ticket, error) {
-	c, err := l.Compile(b, spec)
-	if err != nil {
-		return nil, err
-	}
 	h := jobs.NewHasher(kind).String(b.Name).String(spec.Name).Int(b.MaxInstrs)
 	if params != nil {
 		params(h)
 	}
 	job := jobs.Job{
 		Name: kind + " " + key(b, spec),
-		Key:  hashImage(h, c.Image).Key(),
+		Key:  h.String(b.Source).Key(),
 		Fn: func(context.Context) (any, error) {
+			c, err := l.Compile(b, spec)
+			if err != nil {
+				return nil, err
+			}
 			v, err := fn(c)
 			if err != nil {
 				return nil, runError(kind, b, spec, err)
@@ -483,7 +490,7 @@ func (l *Lab) measureTicket(ctx context.Context, b *bench.Benchmark, spec *isa.S
 // CacheSweep runs one benchmark under one configuration with a split I/D
 // cache system per geometry, all attached to a single execution. Results
 // are served from the scheduler's content-addressed cache, keyed by the
-// program image and every field of every geometry.
+// program's source and every field of every geometry.
 func (l *Lab) CacheSweep(b *bench.Benchmark, spec *isa.Spec, cfgs []cache.Config) ([]*cache.System, error) {
 	params := func(h *jobs.Hasher) {
 		for _, cfg := range cfgs {
@@ -545,7 +552,7 @@ type AccountRun struct {
 // Account executes one benchmark with cycle-accounting engines attached
 // (per-PC attribution on) and returns them with the image's symbol
 // table. Results are served from the scheduler's content-addressed
-// cache, keyed by the program image and the config set; cached
+// cache, keyed by the program's source and the config set; cached
 // configurations build a fresh cache.System per engine from CacheBytes.
 func (l *Lab) Account(b *bench.Benchmark, spec *isa.Spec, cfgs []AccountConfig) (*AccountRun, error) {
 	return await[*AccountRun](l.AccountTicket(context.Background(), b, spec, cfgs))

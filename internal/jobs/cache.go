@@ -6,10 +6,12 @@ import "sync"
 // Key. It only ever holds successful results — failed jobs are not
 // cached, so a transient failure can be retried by resubmitting.
 //
-// The cache is unbounded by design: its values are measurement results
-// whose working set is the experiment grid (benchmarks × configurations),
-// which is small and enumerable. Len is exported as a gauge so growth is
-// visible before it is a problem.
+// The cache has no bound of its own. The paper's experiment grid
+// (benchmarks × configurations) is small and enumerable; a sweep, whose
+// corpus is not, removes each program's results with Delete once it
+// has drained them; a service keeps every distinct point it was asked
+// for. Len is exported as a gauge so growth is visible before it is a
+// problem.
 type Cache struct {
 	mu sync.RWMutex
 	m  map[Key]any
@@ -53,4 +55,12 @@ func (c *Cache) Len() int {
 	n := len(c.m)
 	c.mu.RUnlock()
 	return n
+}
+
+// Delete drops the result t completed with. Call it after t completes:
+// a job still running fills the cache when it finishes.
+func (c *Cache) Delete(t *Ticket) {
+	c.mu.Lock()
+	delete(c.m, t.job.Key)
+	c.mu.Unlock()
 }

@@ -2,9 +2,10 @@
 // bounded worker pool with a content-addressed result cache.
 //
 // A Job is a closure plus an optional content Key (hash of everything
-// that determines the result — for simulations, the program image and
-// the memory-system configuration). Submitting a keyed job gives the
-// scheduler three chances to avoid work:
+// that determines the result — for core's simulations, the benchmark's
+// name, budget and source, the configuration's name and the memory-system
+// configuration; the job itself compiles). Submitting a keyed job gives
+// the scheduler three chances to avoid work:
 //
 //   - result cache hit: the job already ran; the returned Ticket is
 //     complete immediately,

@@ -62,7 +62,8 @@ func outputCases(t *testing.T) []outputCase {
 	return cases
 }
 
-// imageDigest hashes the image fields the lab's cache key folds.
+// imageDigest hashes every execution-relevant image field: the
+// encoding, the entry state and the text and data segments.
 func imageDigest(img *prog.Image) string {
 	h := sha256.New()
 	var buf [4]byte

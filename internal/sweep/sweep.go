@@ -12,6 +12,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/isa"
 	"repro/internal/jobs"
+	"repro/internal/mcc"
 	"repro/internal/store"
 	"repro/internal/synth"
 )
@@ -55,8 +56,7 @@ type Runner struct {
 
 // job tracks one corpus program through the fan-out: its submitted
 // tickets (one measure per config, plus one accounted run per config
-// when the grid has cached cells), or the error that stopped
-// submission.
+// when the grid has cached cells), and the gate that failed it.
 type job struct {
 	prog    *synth.Program
 	bench   *bench.Benchmark
@@ -74,6 +74,13 @@ type job struct {
 // empty). Program failures are reported in the summary, not returned as
 // errors; the error return is for infrastructure (store I/O, scheduler
 // shutdown).
+//
+// The runner's own work is generating programs and draining them in
+// enumeration order: program n's tickets are submitted before program
+// n-window drains, so the lab's workers compile and run up to window
+// programs ahead of the drain. On an inline lab every ticket is
+// complete when submitted and the loop is sequential. Once a program's
+// points are pending, its compiles and results leave the lab.
 func (r *Runner) Run(spec *Spec, storePath string) (*Summary, error) {
 	logw := r.Log
 	if logw == nil {
@@ -95,50 +102,7 @@ func (r *Runner) Run(spec *Spec, storePath string) (*Summary, error) {
 	fmt.Fprintf(logw, "sweep: %d programs x %d configs, %d cacheless + %d cached cells each\n",
 		spec.Programs(), len(spec.Configs), len(spec.Bus)*len(spec.Waits), len(cells))
 
-	// Phase 1: generate and submit. Compiles run inline (they are the
-	// content keys); simulations fan out across the scheduler's workers.
-	ctx := context.Background()
-	jobsList := make([]*job, 0, spec.Programs())
-	for _, class := range spec.Classes {
-		for i := 0; i < spec.Count; i++ {
-			seed := spec.ProgramSeed(class, i)
-			p, err := synth.Generate(class, seed)
-			if err != nil {
-				return nil, err
-			}
-			p.MaxInstrs = spec.MaxInstrs
-			j := &job{prog: p, specs: spec.Configs, bench: &bench.Benchmark{
-				Name:      p.Name,
-				Desc:      fmt.Sprintf("synth corpus (%s, seed %#x)", p.Class, p.Seed),
-				Source:    p.Source,
-				MaxInstrs: p.MaxInstrs,
-			}}
-			jobsList = append(jobsList, j)
-			for _, cfg := range spec.Configs {
-				t, err := r.Lab.MeasureTicket(ctx, j.bench, cfg)
-				if err != nil {
-					j.stage, j.cfg, j.err = "compile", cfg.Name, err
-					break
-				}
-				j.measure = append(j.measure, t)
-			}
-			if j.err != nil || len(cells) == 0 {
-				continue
-			}
-			for _, cfg := range spec.Configs {
-				t, err := r.Lab.AccountTicket(ctx, j.bench, cfg, cells)
-				if err != nil {
-					j.stage, j.cfg, j.err = "compile", cfg.Name, err
-					break
-				}
-				j.account = append(j.account, t)
-			}
-		}
-	}
-
-	// Phase 2: drain in enumeration order, differentially compare, emit
-	// points, flush fixed-size store blocks.
-	sum := &Summary{Programs: len(jobsList)}
+	sum := &Summary{Programs: spec.Programs()}
 	var pending []store.Point
 	flush := func() error {
 		if storePath == "" || len(pending) == 0 {
@@ -151,19 +115,45 @@ func (r *Runner) Run(spec *Spec, storePath string) (*Summary, error) {
 		pending = pending[:0]
 		return nil
 	}
-	for n, j := range jobsList {
+	// drainNext drains the oldest submitted program, emits its points
+	// and flushes fixed-size store blocks.
+	var queued []*job
+	drained := 0
+	drainNext := func() error {
+		j := queued[0]
+		queued[0], queued = nil, queued[1:]
 		pts, err := r.drain(logw, spec, cells, j)
+		r.Lab.Forget(j.bench, spec.Configs, append(j.measure, j.account...)...)
 		if err != nil {
 			sum.Failures = append(sum.Failures, r.report(logw, j))
-			continue
+		} else {
+			sum.Passed++
+			sum.Points += len(pts)
+			pending = append(pending, pts...)
 		}
-		sum.Passed++
-		sum.Points += len(pts)
-		pending = append(pending, pts...)
-		if (n+1)%flushEvery == 0 {
-			if err := flush(); err != nil {
+		if drained++; drained%flushEvery == 0 {
+			return flush()
+		}
+		return nil
+	}
+
+	window := 4 * r.Lab.Scheduler().Workers()
+	for _, class := range spec.Classes {
+		for i := 0; i < spec.Count; i++ {
+			j, err := r.submit(spec, cells, class, i)
+			if err != nil {
 				return nil, err
 			}
+			if queued = append(queued, j); len(queued) > window {
+				if err := drainNext(); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	for len(queued) > 0 {
+		if err := drainNext(); err != nil {
+			return nil, err
 		}
 	}
 	if err := flush(); err != nil {
@@ -175,15 +165,67 @@ func (r *Runner) Run(spec *Spec, storePath string) (*Summary, error) {
 	return sum, nil
 }
 
-// drain collects one program's tickets, runs the static-prefilter and
-// differential checks and expands its grid points. A non-nil error
-// means the program failed a gate; j.stage/j.cfg/j.err carry the
-// details.
-func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j *job) ([]store.Point, error) {
-	if j.err != nil {
-		return nil, j.err
+// submit generates program i of class and submits its tickets: one
+// measurement per config, then one accounted run per config when the
+// grid has cached cells. The jobs compile on the lab's workers; an
+// error here is the scheduler refusing work.
+func (r *Runner) submit(spec *Spec, cells []core.AccountConfig, class string, i int) (*job, error) {
+	p, err := synth.Generate(class, spec.ProgramSeed(class, i))
+	if err != nil {
+		return nil, err
 	}
+	p.MaxInstrs = spec.MaxInstrs
+	j := &job{prog: p, specs: spec.Configs, bench: &bench.Benchmark{
+		Name:      p.Name,
+		Desc:      fmt.Sprintf("synth corpus (%s, seed %#x)", p.Class, p.Seed),
+		Source:    p.Source,
+		MaxInstrs: p.MaxInstrs,
+	}}
 	ctx := context.Background()
+	for _, cfg := range spec.Configs {
+		t, err := r.Lab.MeasureTicket(ctx, j.bench, cfg)
+		if err != nil {
+			return nil, err
+		}
+		j.measure = append(j.measure, t)
+	}
+	if len(cells) == 0 {
+		return j, nil
+	}
+	for _, cfg := range spec.Configs {
+		t, err := r.Lab.AccountTicket(ctx, j.bench, cfg, cells)
+		if err != nil {
+			return nil, err
+		}
+		j.account = append(j.account, t)
+	}
+	return j, nil
+}
+
+// drain collects one program's tickets, runs its gates (compile, run,
+// static, differential, then the accounted runs) and expands its grid
+// points. A non-nil
+// error means the program failed a gate; j.stage/j.cfg/j.err carry the
+// details. Every ticket completes before the gates run, so asking the
+// lab for each config's compile is a memo hit, and a compile failure
+// is reported ahead of any other, on the first failing config.
+func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j *job) ([]store.Point, error) {
+	ctx := context.Background()
+	// Outcomes are read below, gate by gate.
+	for _, ts := range [][]*jobs.Ticket{j.measure, j.account} {
+		for _, t := range ts {
+			t.Wait(ctx)
+		}
+	}
+	compiled := make([]*mcc.Compiled, len(spec.Configs))
+	for i, cfg := range spec.Configs {
+		c, err := r.Lab.Compile(j.bench, cfg)
+		if err != nil {
+			j.stage, j.cfg, j.err = "compile", cfg.Name, err
+			return nil, err
+		}
+		compiled[i] = c
+	}
 	profiles := make([]*core.BusProfile, len(j.measure))
 	for i, t := range j.measure {
 		v, err := t.Wait(ctx)
@@ -195,7 +237,7 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 			return nil, err
 		}
 	}
-	if err := r.staticGate(logw, spec, j, profiles); err != nil {
+	if err := r.staticGate(logw, spec, j, compiled, profiles); err != nil {
 		return nil, err
 	}
 	for i := 1; i < len(profiles); i++ {
@@ -217,13 +259,8 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 			return nil, err
 		}
 		run := v.(*core.AccountRun)
-		c, err := r.Lab.Compile(j.bench, spec.Configs[i])
-		if err != nil {
-			j.stage, j.cfg, j.err = "compile", spec.Configs[i].Name, err
-			return nil, err
-		}
 		for ei, ac := range cells {
-			pts = append(pts, core.AccountPoint(j.bench.Name, spec.Configs[i].Name, c, run.Engines[ei], ac))
+			pts = append(pts, core.AccountPoint(j.bench.Name, spec.Configs[i].Name, compiled[i], run.Engines[ei], ac))
 		}
 	}
 	return pts, nil
@@ -238,14 +275,9 @@ func (r *Runner) drain(logw io.Writer, spec *Spec, cells []core.AccountConfig, j
 // sweep exists to surface; it fails the program at stage "static". The
 // per-program line keeps the log deterministic: everything in it is a
 // function of the program and config alone.
-func (r *Runner) staticGate(logw io.Writer, spec *Spec, j *job, profiles []*core.BusProfile) error {
+func (r *Runner) staticGate(logw io.Writer, spec *Spec, j *job, compiled []*mcc.Compiled, profiles []*core.BusProfile) error {
 	for i, cfg := range spec.Configs {
-		c, err := r.Lab.Compile(j.bench, cfg)
-		if err != nil {
-			j.stage, j.cfg, j.err = "compile", cfg.Name, err
-			return err
-		}
-		img := c.Static
+		img := compiled[i].Static
 		fmt.Fprintf(logw, "sweep: static %s %s text=%d instrs=%d min-instrs=%d fusible=%d\n",
 			j.prog.Name, cfg.Name, img.TextBytes, img.Instrs, img.MinInstrs,
 			img.FuseCmpBranch+img.FuseLdcJump)

@@ -2,13 +2,17 @@ package sweep
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/store"
+	"repro/internal/synth"
+	"repro/internal/telemetry"
 )
 
 func TestParseGrammar(t *testing.T) {
@@ -139,6 +143,75 @@ func TestRunSweepDeterministic(t *testing.T) {
 		if err := pts[i].Validate(); err != nil {
 			t.Fatalf("point %d: %v", i, err)
 		}
+	}
+}
+
+// Every class on a 2-worker lab, whose workers compile concurrently,
+// and on an inline lab: the logs and surfaces must be byte-identical,
+// and afterwards neither lab holds a result or a compile of the corpus.
+func TestRunSweepParallelReleases(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweep run in -short")
+	}
+	dir := t.TempDir()
+	spec, err := Parse("classes=loopy,callheavy,recursive,fp,array,phased count=3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	par := core.NewParallelLab(2)
+	defer par.Scheduler().Shutdown(context.Background())
+	labs := map[string]*core.Lab{"seq": core.NewLab(), "par": par}
+	out := map[string][]byte{}
+	for _, name := range []string{"seq", "par"} {
+		lab := labs[name]
+		var log bytes.Buffer
+		path := filepath.Join(dir, name+".mcst")
+		sum, err := (&Runner{Lab: lab, Log: &log}).Run(spec, path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sum.Passed != spec.Programs() {
+			t.Fatalf("%s: %d of %d programs passed: %+v", name, sum.Passed, spec.Programs(), sum.Failures)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[name] = append(log.Bytes(), data...)
+		if n := lab.Scheduler().Cache().Len(); n != 0 {
+			t.Errorf("%s: result cache holds %d entries after the sweep, want 0", name, n)
+		}
+		// A compile the memo still held would record no compile span.
+		tr := telemetry.NewTracer()
+		telemetry.SetGlobalTracer(tr)
+		for _, class := range spec.Classes {
+			for i := 0; i < spec.Count; i++ {
+				p, err := synth.Generate(class, spec.ProgramSeed(class, i))
+				if err != nil {
+					t.Fatal(err)
+				}
+				b := &bench.Benchmark{Name: p.Name, Source: p.Source}
+				for _, cfg := range spec.Configs {
+					if _, err := lab.Compile(b, cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+		telemetry.SetGlobalTracer(nil)
+		compiles := 0
+		for _, e := range tr.Events() {
+			if e.Name == "compile" {
+				compiles++
+			}
+		}
+		if want := spec.Programs() * len(spec.Configs); compiles != want {
+			t.Errorf("%s: %d of %d corpus compiles ran after the sweep; the rest were still memoized",
+				name, compiles, want)
+		}
+	}
+	if !bytes.Equal(out["seq"], out["par"]) {
+		t.Fatal("sequential and parallel sweeps are not byte-identical")
 	}
 }
 

@@ -20,7 +20,14 @@ type state struct {
 	fpsr      bool // FP status register defined by a reaching fcmp
 	spKnown   bool // sp offset from entry is a known constant
 	spDelta   int32
-	slots     map[int32]isa.Reg // entry-relative sp offset -> pristine reg saved there
+	slots     []slot // save slots; clones share it, so it is replaced, never written in place
+}
+
+// slot is one frame slot holding a pristine callee-saved copy: the
+// register saved at an entry-relative sp offset.
+type slot struct {
+	off int32
+	reg isa.Reg
 }
 
 func bit(r isa.Reg) uint64 { return 1 << uint(r) }
@@ -47,29 +54,42 @@ func (s *state) setConst(r isa.Reg, v int32) {
 func (s *state) killConst(r isa.Reg) { s.constMask &^= bit(r) }
 
 func (s *state) slotReg(off int32) isa.Reg {
-	if r, ok := s.slots[off]; ok {
-		return r
+	for _, sl := range s.slots {
+		if sl.off == off {
+			return sl.reg
+		}
 	}
 	return isa.NoReg
 }
 
-func (s *state) setSlot(off int32, r isa.Reg) {
-	if s.slots == nil {
-		s.slots = map[int32]isa.Reg{}
-	}
-	s.slots[off] = r
-}
-
-func (s *state) delSlot(off int32) { delete(s.slots, off) }
-
-func (s *state) clone() *state {
-	c := *s
-	if s.slots != nil {
-		c.slots = make(map[int32]isa.Reg, len(s.slots))
-		for k, r := range s.slots { //detlint:ignore rangemap copied into an unordered map, never iterated for output
-			c.slots[k] = r
+// filter returns the slots keep accepts. It never writes s.slots, which
+// clones share: a result that drops a slot is a new slice, and one that
+// keeps them all is capped so an append cannot write into it.
+func (s *state) filter(keep func(slot) bool) []slot {
+	for i, sl := range s.slots {
+		if !keep(sl) {
+			out := append(make([]slot, 0, len(s.slots)), s.slots[:i]...)
+			for _, sl := range s.slots[i+1:] {
+				if keep(sl) {
+					out = append(out, sl)
+				}
+			}
+			return out
 		}
 	}
+	return s.slots[:len(s.slots):len(s.slots)]
+}
+
+func (s *state) setSlot(off int32, r isa.Reg) {
+	s.slots = append(s.filter(func(sl slot) bool { return sl.off != off }), slot{off, r})
+}
+
+func (s *state) delSlot(off int32) { s.slots = s.filter(func(sl slot) bool { return sl.off != off }) }
+
+// clone copies the state. The copy shares the save slots, which every
+// update replaces rather than edits.
+func (s *state) clone() *state {
+	c := *s
 	return &c
 }
 
@@ -102,11 +122,8 @@ func (s *state) merge(o *state) (changed, spConflict bool) {
 	if m != s.constMask {
 		s.constMask, changed = m, true
 	}
-	for off, r := range s.slots { //detlint:ignore rangemap intersection of unordered maps, never iterated for output
-		if o.slotReg(off) != r {
-			delete(s.slots, off)
-			changed = true
-		}
+	if kept := s.filter(func(sl slot) bool { return o.slotReg(sl.off) == sl.reg }); len(kept) != len(s.slots) {
+		s.slots, changed = kept, true
 	}
 	return changed, spConflict
 }
@@ -116,7 +133,7 @@ func (s *state) merge(o *state) (changed, spConflict bool) {
 // and caller-saved temporaries hold garbage. On D16 the condition
 // register r0 is garbage too; on DLXe it is the constant zero.
 func (v *verifier) entryState() *state {
-	st := &state{spKnown: true, slots: map[int32]isa.Reg{}}
+	st := &state{spKnown: true}
 	for i := 0; i < v.spec.NumGPR && i < 32; i++ {
 		r := isa.R(i)
 		switch {

@@ -25,11 +25,6 @@ import (
 	"strings"
 )
 
-// Version numbers the verifier's rule set. It is mixed into the jobs
-// cache keys (see core.hashImage), so bumping it invalidates results
-// that were admitted under older rules.
-const Version = 1
-
 // Violation is one verifier finding, anchored to the program counter of
 // the offending instruction.
 type Violation struct {
