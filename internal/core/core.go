@@ -159,6 +159,13 @@ type Lab struct {
 	shards int // most machines one run's observers are spread over (see run)
 	mu     sync.Mutex
 	comp   map[string]*flight[*mcc.Compiled]
+	srcs   map[string]source // by benchmark name (see sourceKey)
+}
+
+// source is a benchmark's source with its digest.
+type source struct {
+	text string
+	key  jobs.Key
 }
 
 // flight is a one-shot memoization cell: the first caller runs fn,
@@ -208,6 +215,7 @@ func NewLabWith(s *jobs.Scheduler) *Lab {
 		sched:  s,
 		shards: shardsFor(runtime.GOMAXPROCS(0), s.Workers()),
 		comp:   map[string]*flight[*mcc.Compiled]{},
+		srcs:   map[string]source{},
 	}
 }
 
@@ -233,15 +241,35 @@ func (l *Lab) Compile(b *bench.Benchmark, spec *isa.Spec) (*mcc.Compiled, error)
 	})
 }
 
-// Forget drops b's compiles for specs from the memo and the results of
-// the given completed tickets from the result cache. A caller that has
-// drained a program's points calls it so the lab holds nothing of that
-// program; a later request compiles and runs it again.
+// sourceKey returns the digest of b's source that run keys fold in. The
+// lab keeps the last digest per benchmark name with the source it
+// hashed, so a repeated submission compares the source (by pointer,
+// when it is the same string) instead of hashing it again.
+func (l *Lab) sourceKey(b *bench.Benchmark) jobs.Key {
+	l.mu.Lock()
+	s, ok := l.srcs[b.Name]
+	l.mu.Unlock()
+	if ok && s.text == b.Source {
+		return s.key
+	}
+	s = source{b.Source, jobs.NewHasher("source").String(b.Source).Key()}
+	l.mu.Lock()
+	l.srcs[b.Name] = s
+	l.mu.Unlock()
+	return s.key
+}
+
+// Forget drops b's compiles for specs and its source digest from the
+// memos, and the results of the given completed tickets from the result
+// cache. A caller that has drained a program's points calls it so the
+// lab holds nothing of that program; a later request compiles and runs
+// it again.
 func (l *Lab) Forget(b *bench.Benchmark, specs []*isa.Spec, done ...*jobs.Ticket) {
 	l.mu.Lock()
 	for _, spec := range specs {
 		delete(l.comp, key(b, spec))
 	}
+	delete(l.srcs, b.Name)
 	l.mu.Unlock()
 	for _, t := range done {
 		l.sched.Cache().Delete(t)
@@ -256,22 +284,24 @@ func runError(kind string, b *bench.Benchmark, spec *isa.Spec, err error) error 
 
 // submit submits one run of the given kind of b for spec as a job. The
 // job's content key is the kind, the run's identity labels and budget,
-// the kind's parameters (added by params, when non-nil) and b's source,
-// so every distinct public call owns exactly one result-cache entry and
-// a cache hit compiles nothing. The job compiles b (through the memo)
-// and calls fn on a scheduler worker: a compile error comes back from
-// Wait as Compile returned it, a run error wrapped by runError. try
-// selects fail-fast backpressure (a full queue returns
-// jobs.ErrOverloaded) over blocking until space frees or ctx ends.
+// the kind's parameters (added by params, when non-nil) and the digest
+// of b's source, so every distinct public call owns exactly one
+// result-cache entry and a cache hit compiles nothing. The job compiles
+// b (through the memo) and calls fn on a scheduler worker: a compile
+// error comes back from Wait as Compile returned it, a run error
+// wrapped by runError. try selects fail-fast backpressure (a full queue
+// returns jobs.ErrOverloaded) over blocking until space frees or ctx
+// ends.
 func (l *Lab) submit(ctx context.Context, try bool, kind string, b *bench.Benchmark, spec *isa.Spec,
 	params func(*jobs.Hasher), fn func(*mcc.Compiled) (any, error)) (*jobs.Ticket, error) {
 	h := jobs.NewHasher(kind).String(b.Name).String(spec.Name).Int(b.MaxInstrs)
 	if params != nil {
 		params(h)
 	}
+	src := l.sourceKey(b)
 	job := jobs.Job{
 		Name: kind + " " + key(b, spec),
-		Key:  h.String(b.Source).Key(),
+		Key:  h.Bytes(src[:]).Key(),
 		Fn: func(context.Context) (any, error) {
 			c, err := l.Compile(b, spec)
 			if err != nil {

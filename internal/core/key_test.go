@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/bench"
@@ -20,13 +21,14 @@ func shortBranchD16() *isa.Spec {
 }
 
 // TestRunKeyIsSource checks the run's content key: two benchmarks equal
-// in name, budget and source share one result-cache entry however they
-// were built, a cache hit looks up no compile, and a changed source is
-// a distinct run.
+// in name, budget and source text share one result-cache entry, even
+// when their sources are distinct strings; a cache hit looks up no
+// compile; and a changed source is a distinct run.
 func TestRunKeyIsSource(t *testing.T) {
 	lab := NewLab()
 	a := *bench.ByName("queens")
 	b := a
+	b.Source = strings.Clone(a.Source)
 	spec := isa.D16()
 	m1, err := lab.Measure(&a, spec)
 	if err != nil {
@@ -121,7 +123,7 @@ func TestForgetReleasesProgram(t *testing.T) {
 	if n := lab.Scheduler().Cache().Len(); n != 0 {
 		t.Errorf("result cache holds %d entries after Forget, want 0", n)
 	}
-	if n := len(lab.comp); n != 0 {
-		t.Errorf("compile memo holds %d entries after Forget, want 0", n)
+	if n, m := len(lab.comp), len(lab.srcs); n != 0 || m != 0 {
+		t.Errorf("memos hold %d compiles and %d source digests after Forget, want none", n, m)
 	}
 }
