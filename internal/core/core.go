@@ -158,8 +158,15 @@ type Lab struct {
 	sched  *jobs.Scheduler
 	shards int // most machines one run's observers are spread over (see run)
 	mu     sync.Mutex
-	comp   map[string]*flight[*mcc.Compiled]
+	comp   map[compileKey]*flight[*mcc.Compiled]
 	srcs   map[string]source // by benchmark name (see sourceKey)
+}
+
+// compileKey identifies one compile: what it compiles (the digest of
+// the source, as run keys fold it in) and for which configuration.
+type compileKey struct {
+	src  jobs.Key
+	spec string
 }
 
 // source is a benchmark's source with its digest.
@@ -176,7 +183,7 @@ type flight[T any] struct {
 	err  error
 }
 
-func flightDo[T any](l *Lab, m map[string]*flight[T], k string, fn func() (T, error)) (T, error) {
+func flightDo[K comparable, T any](l *Lab, m map[K]*flight[T], k K, fn func() (T, error)) (T, error) {
 	l.mu.Lock()
 	f, ok := m[k]
 	if !ok {
@@ -214,7 +221,7 @@ func NewLabWith(s *jobs.Scheduler) *Lab {
 	return &Lab{
 		sched:  s,
 		shards: shardsFor(runtime.GOMAXPROCS(0), s.Workers()),
-		comp:   map[string]*flight[*mcc.Compiled]{},
+		comp:   map[compileKey]*flight[*mcc.Compiled]{},
 		srcs:   map[string]source{},
 	}
 }
@@ -234,9 +241,11 @@ func key(b *bench.Benchmark, spec *isa.Spec) string { return b.Name + "|" + spec
 
 // Compile compiles (with memoization) one benchmark for one target on
 // the calling goroutine. Every run's job calls it on the worker that
-// runs it, so runs of one image share one compile.
+// runs it, so runs of one image share one compile. The memo is keyed by
+// the source, not the name: a benchmark submitted again under a known
+// name with another source compiles that source.
 func (l *Lab) Compile(b *bench.Benchmark, spec *isa.Spec) (*mcc.Compiled, error) {
-	return flightDo(l, l.comp, key(b, spec), func() (*mcc.Compiled, error) {
+	return flightDo(l, l.comp, compileKey{l.sourceKey(b), spec.Name}, func() (*mcc.Compiled, error) {
 		return mcc.Compile(b.Name+".mc", b.Source, spec)
 	})
 }
@@ -265,9 +274,10 @@ func (l *Lab) sourceKey(b *bench.Benchmark) jobs.Key {
 // lab holds nothing of that program; a later request compiles and runs
 // it again.
 func (l *Lab) Forget(b *bench.Benchmark, specs []*isa.Spec, done ...*jobs.Ticket) {
+	src := l.sourceKey(b)
 	l.mu.Lock()
 	for _, spec := range specs {
-		delete(l.comp, key(b, spec))
+		delete(l.comp, compileKey{src, spec.Name})
 	}
 	delete(l.srcs, b.Name)
 	l.mu.Unlock()

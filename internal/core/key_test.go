@@ -127,3 +127,25 @@ func TestForgetReleasesProgram(t *testing.T) {
 		t.Errorf("memos hold %d compiles and %d source digests after Forget, want none", n, m)
 	}
 }
+
+// TestCompileMemoIsSource checks that the compile memo is keyed by what
+// it compiles: a benchmark submitted again under a known name with a new
+// source runs the new source, on a sequential and on a parallel lab.
+func TestCompileMemoIsSource(t *testing.T) {
+	for _, lab := range []*Lab{NewLab(), NewParallelLab(2)} {
+		p := bench.Benchmark{Name: "p", MaxInstrs: 100_000}
+		var outs []string
+		for _, v := range []string{"1", "2"} {
+			p.Source = "int main() { print_int(" + v + "); return 0; }\n"
+			m, err := lab.Measure(&p, isa.D16())
+			if err != nil {
+				t.Fatal(err)
+			}
+			outs = append(outs, m.Output)
+		}
+		if outs[0] == outs[1] {
+			t.Errorf("two sources under one name both printed %q", outs[0])
+		}
+		lab.Scheduler().Shutdown(context.Background())
+	}
+}

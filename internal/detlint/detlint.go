@@ -16,7 +16,9 @@
 //   - sortslice: no sort.Slice whose comparator is a single projected
 //     key — distinct elements with equal keys keep no stable order, so
 //     the sorted bytes vary run to run; use sort.SliceStable or add a
-//     tiebreak.
+//     tiebreak;
+//   - staleignore: no escape hatch that suppresses nothing, so none
+//     outlives the code it excused.
 //
 // A finding is suppressed by an escape hatch on the same or preceding
 // line naming the check and a reason:
@@ -59,6 +61,7 @@ const (
 	CheckTimeNow   = "timenow"
 	CheckMathRand  = "mathrand"
 	CheckSortSlice = "sortslice"
+	CheckStale     = "staleignore"
 )
 
 // detPkgs lists the import-path suffixes of packages whose output must
@@ -299,6 +302,10 @@ func lintFile(fset *token.FileSet, f *ast.File, info *types.Info, checks map[str
 		}
 		return true
 	})
+	for _, d := range ig.unused() {
+		out = append(out, Finding{Pos: fset.Position(d.pos), Check: CheckStale,
+			Msg: "//detlint:ignore " + d.check + " suppresses no finding on its line or the next (remove it)"})
+	}
 	return out
 }
 
@@ -377,11 +384,40 @@ func isMapType(info *types.Info, e ast.Expr) bool {
 	return isMap
 }
 
-// ignores records //detlint:ignore directives by line.
-type ignores map[int]map[string]bool
+// ignores records //detlint:ignore directives by line and check.
+type ignores map[int]map[string]*directive
+
+// directive is one escape hatch: where it is, what it names, and
+// whether it has suppressed a finding.
+type directive struct {
+	pos   token.Pos
+	check string
+	used  bool
+}
 
 func (ig ignores) suppressed(line int, check string) bool {
-	return ig[line][check] || ig[line-1][check]
+	for _, l := range []int{line, line - 1} {
+		if d := ig[l][check]; d != nil {
+			d.used = true
+			return true
+		}
+	}
+	return false
+}
+
+// unused returns the directives that suppressed nothing, in position
+// order.
+func (ig ignores) unused() []*directive {
+	var out []*directive
+	for _, byCheck := range ig { //detlint:ignore rangemap sorted immediately below
+		for _, d := range byCheck { //detlint:ignore rangemap sorted immediately below
+			if !d.used {
+				out = append(out, d)
+			}
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].pos < out[j].pos })
+	return out
 }
 
 func collectIgnores(fset *token.FileSet, f *ast.File) ignores {
@@ -398,9 +434,9 @@ func collectIgnores(fset *token.FileSet, f *ast.File) ignores {
 			}
 			line := fset.Position(c.Pos()).Line
 			if ig[line] == nil {
-				ig[line] = map[string]bool{}
+				ig[line] = map[string]*directive{}
 			}
-			ig[line][fields[0]] = true
+			ig[line][fields[0]] = &directive{pos: c.Pos(), check: fields[0]}
 		}
 	}
 	return ig

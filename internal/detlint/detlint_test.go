@@ -109,3 +109,17 @@ func TestModuleClean(t *testing.T) {
 		t.Errorf("module finding: %s", f)
 	}
 }
+
+// TestStaleIgnoreFlagged: an escape hatch that suppresses no finding on
+// its line or the next is itself a finding; one in use is not.
+func TestStaleIgnoreFlagged(t *testing.T) {
+	fs := lintFixture(t, "staleignore", "repro/internal/mcc")
+	for _, line := range []int{15, 21} {
+		if !hasFinding(fs, CheckStale, "stale.go", line) {
+			t.Errorf("missing %s finding at stale.go:%d; got %v", CheckStale, line, fs)
+		}
+	}
+	if len(fs) != 2 {
+		t.Errorf("got %d findings, want 2: %v", len(fs), fs)
+	}
+}

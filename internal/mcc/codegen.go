@@ -190,17 +190,17 @@ type codegen struct {
 	outArgs   int32 // outgoing stack-arg bytes
 	lrOff     int32 // frame offset of the saved link register (-1 = none)
 	calleeOff []int32
-	useCount  map[VReg]int
+	useCount  []int // per VReg
 	retLabel  string
 
 	scratchI [2]isa.Reg
 	scratchF [2]isa.Reg
 
-	// fusedCall maps a vreg to a function symbol when the vreg is a
-	// single-use call-target address: the materialization is skipped and
-	// the call emitted direct (sharing only pays off for repeated or
-	// loop-resident targets).
-	fusedCall map[VReg]string
+	// fusedCall holds, per vreg, a function symbol when the vreg is a
+	// single-use call-target address ("" otherwise): the materialization
+	// is skipped and the call emitted direct (sharing only pays off for
+	// repeated or loop-resident targets).
+	fusedCall []string
 
 	err error
 }
@@ -215,12 +215,12 @@ func (cg *codegen) fail(format string, args ...any) {
 func genFuncAsm(f *IRFunc, spec *isa.Spec, alloc *Alloc, data *dataLayout) ([]line, error) {
 	cg := &codegen{
 		f: f, spec: spec, alloc: alloc, data: data,
-		useCount: map[VReg]int{},
+		useCount: make([]int, f.NReg),
 		retLabel: ".Lret_" + f.Name,
 		scratchI: isa.ScratchGPRs(),
 		scratchF: isa.ScratchFPRs(),
 	}
-	defCount := map[VReg]int{}
+	defCount := make([]int, f.NReg)
 	for _, b := range f.Blocks {
 		for i := range b.Ins {
 			var buf [4]VReg
@@ -233,7 +233,7 @@ func genFuncAsm(f *IRFunc, spec *isa.Spec, alloc *Alloc, data *dataLayout) ([]li
 		}
 	}
 	// Single-use indirect call targets revert to direct calls.
-	cg.fusedCall = map[VReg]string{}
+	cg.fusedCall = make([]string, f.NReg)
 	for _, b := range f.Blocks {
 		for i := range b.Ins {
 			in := &b.Ins[i]

@@ -460,10 +460,10 @@ func (cg *codegen) genCallIns(in *Ins) {
 
 	// Indirect call target (D16 lowering) moves to r0 first: argument
 	// moves may overwrite any allocatable register, but never r0.
-	fusedSym, fused := "", false
+	fusedSym := ""
 	if in.A != NoV {
-		fusedSym, fused = cg.fusedCall[in.A]
-		if !fused {
+		fusedSym = cg.fusedCall[in.A]
+		if fusedSym == "" {
 			target := cg.srcReg(in.A, 0)
 			cg.moveInt(isa.RegCC, target)
 		}
@@ -506,7 +506,7 @@ func (cg *codegen) genCallIns(in *Ins) {
 	for _, m := range moves {
 		uses = append(uses, m.dst)
 	}
-	if in.A != NoV && !fused {
+	if in.A != NoV && fusedSym == "" {
 		// Indirect call (D16 lowering): the target address was staged in
 		// r0 before the argument moves.
 		uses = append(uses, isa.RegCC)
@@ -516,7 +516,7 @@ func (cg *codegen) genCallIns(in *Ins) {
 		})
 	} else {
 		sym := in.Sym
-		if fused {
+		if fusedSym != "" {
 			sym = fusedSym
 		}
 		defs := []isa.Reg{isa.RegLink, isa.RegCC} // D16 call goes through r0

@@ -116,7 +116,7 @@ func (cg *codegen) genIns(in *Ins, nextID int) {
 		cg.genStore(in)
 
 	case IAddr:
-		if _, ok := cg.fusedCall[in.Dst]; ok {
+		if cg.fusedCall[in.Dst] != "" {
 			return // materialization fused into the call site
 		}
 		rd, commit := cg.dstReg(in.Dst, 0)
@@ -426,9 +426,11 @@ func (cg *codegen) cmpTargetReg(cmp *Ins) isa.Reg {
 
 // --- FP arithmetic -----------------------------------------------------------------
 
+var fpOps = map[IOp][2]isa.Op{IFAdd: {isa.FADDS, isa.FADDD}, IFSub: {isa.FSUBS, isa.FSUBD},
+	IFMul: {isa.FMULS, isa.FMULD}, IFDiv: {isa.FDIVS, isa.FDIVD}}
+
 func (cg *codegen) genFPOp(in *Ins) {
-	ops := map[IOp][2]isa.Op{IFAdd: {isa.FADDS, isa.FADDD}, IFSub: {isa.FSUBS, isa.FSUBD},
-		IFMul: {isa.FMULS, isa.FMULD}, IFDiv: {isa.FDIVS, isa.FDIVD}}[in.Op]
+	ops := fpOps[in.Op]
 	comm := in.Op == IFAdd || in.Op == IFMul
 	a := cg.srcReg(in.A, 0)
 	b := cg.srcReg(in.B, 1)

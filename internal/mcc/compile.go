@@ -151,11 +151,12 @@ func genStmts(out []asm.Stmt, file, src string, spec *isa.Spec) ([]asm.Stmt, int
 	data.finalizeBSS()
 
 	spills := 0
+	var opt optimizer
 	for _, f := range irFuncs {
 		var removed int64
 		optimize := func() {
 			before := instrCount(f)
-			timedPass("optimize", func() { Optimize(f, spec) })
+			timedPass("optimize", func() { opt.run(f, spec) })
 			removed += before - instrCount(f)
 		}
 		optimize()

@@ -234,11 +234,11 @@ type SlotInfo struct {
 
 // Loop records one source-level loop for invariant hoisting: Pre is the
 // preheader block (the unique block that branches into the header from
-// outside), and Blocks are the member block IDs.
+// outside), and Blocks are the member block IDs, ascending.
 type Loop struct {
 	Pre    int
 	Head   int
-	Blocks map[int]bool
+	Blocks []int
 }
 
 // IRFunc is one function in IR form.
@@ -246,6 +246,9 @@ type IRFunc struct {
 	Name   string
 	Blocks []*Block
 	NReg   int
+	// NBlock counts the blocks ever created: IDs are 0..NBlock-1, and
+	// pruning leaves gaps.
+	NBlock int
 	RegTy  []Ty
 	Slots  []SlotInfo
 	Params []VReg // parameter vregs, in declaration order
@@ -272,9 +275,20 @@ func (f *IRFunc) NewVReg(t Ty) VReg {
 
 // NewBlock appends a fresh empty block.
 func (f *IRFunc) NewBlock() *Block {
-	b := &Block{ID: len(f.Blocks)}
+	b := &Block{ID: f.NBlock}
+	f.NBlock++
 	f.Blocks = append(f.Blocks, b)
 	return b
+}
+
+// blocksByID returns f's blocks in a table indexed by ID, nil where a
+// block was pruned.
+func (f *IRFunc) blocksByID() []*Block {
+	byID := make([]*Block, f.NBlock)
+	for _, b := range f.Blocks {
+		byID[b.ID] = b
+	}
+	return byID
 }
 
 // String renders the function's IR (for tests and debugging).

@@ -233,11 +233,10 @@ func (g *irgen) genWhile(st *WhileStmt) {
 // recordLoop marks every block created since firstNew (except the exit
 // block) as a member of the loop headed at head.
 func (g *irgen) recordLoop(pre, head, firstNew, exit int) {
-	members := map[int]bool{}
+	var members []int
 	for i := firstNew; i < len(g.f.Blocks); i++ {
-		id := g.f.Blocks[i].ID
-		if id != exit {
-			members[id] = true
+		if id := g.f.Blocks[i].ID; id != exit {
+			members = append(members, id)
 		}
 	}
 	g.f.Loops = append(g.f.Loops, Loop{Pre: pre, Head: head, Blocks: members})
@@ -701,12 +700,7 @@ func (g *irgen) genAssign(x *Assign) VReg {
 	}
 
 	// Compound assignment: evaluate the lvalue address once.
-	binOp := map[TokKind]TokKind{
-		TokPlusEq: TokPlus, TokMinusEq: TokMinus, TokStarEq: TokStar,
-		TokSlashEq: TokSlash, TokPercentEq: TokPercent, TokAmpEq: TokAmp,
-		TokPipeEq: TokPipe, TokCaretEq: TokCaret, TokShlEq: TokShl,
-		TokShrEq: TokShr,
-	}[x.Op]
+	binOp := compoundOp[x.Op]
 
 	// Pointer += / -=.
 	if lt.IsPtr() {

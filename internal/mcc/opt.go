@@ -1,7 +1,7 @@
 package mcc
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/isa"
 )
@@ -22,20 +22,77 @@ import (
 // way the paper's compiler is: immediate formation consults the spec's
 // field widths, so a constant the target cannot encode stays a separate
 // (hoistable, CSE-able) materialization.
-func Optimize(f *IRFunc, spec *isa.Spec) {
+func Optimize(f *IRFunc, spec *isa.Spec) { new(optimizer).run(f, spec) }
+
+// run optimizes f with o's tables; a compile runs every function, three
+// times each, through one optimizer.
+func (o *optimizer) run(f *IRFunc, spec *isa.Spec) {
+	o.reset(f, spec)
 	for i := 0; i < 3; i++ {
 		changed := false
 		for _, b := range f.Blocks {
-			changed = localOpt(f, b, spec) || changed
-			changed = localCSE(f, b) || changed
+			changed = o.localOpt(b) || changed
+			changed = o.localCSE(b) || changed
 		}
-		changed = deadCode(f) || changed
+		changed = o.deadCode() || changed
 		changed = foldBranches(f) || changed
 		changed = pruneBlocks(f) || changed
 		if !changed {
 			break
 		}
 	}
+}
+
+// optimizer holds the block-local passes' tables. VRegs are dense
+// (0..f.NReg-1) and no pass here allocates one, so the per-VReg tables
+// are slices, shared by every block, iteration and function the
+// optimizer runs. Nothing is cleared between them: gen counts
+// definitions over the optimizer's life, each block walk starts a fresh
+// generation, and a fact recorded before it reads as absent.
+type optimizer struct {
+	f     *IRFunc
+	spec  *isa.Spec
+	gen   int
+	regs  []regFacts
+	uses  []int             // deadCode's use counts
+	avail map[cseKey]cseVal // localCSE's expressions
+}
+
+// regFacts is what the optimizer knows of one VReg: the generation of
+// its last definition, and localOpt's constant value and copy source,
+// each valid while the generation it was recorded at is still the last
+// definition (a copy also while its source keeps definition srcGen).
+type regFacts struct {
+	redef, constGen, copyGen, srcGen int
+	constVal                         int64
+	copyOf                           VReg
+}
+
+// cseVal is an available expression: the VReg holding it and the
+// generation it was computed at.
+type cseVal struct {
+	v    VReg
+	born int
+}
+
+// reset points o at f, growing its tables to f's VRegs.
+func (o *optimizer) reset(f *IRFunc, spec *isa.Spec) {
+	o.f, o.spec = f, spec
+	if cap(o.regs) < f.NReg {
+		o.regs, o.uses = make([]regFacts, f.NReg, 2*f.NReg), make([]int, f.NReg, 2*f.NReg)
+	}
+	o.regs, o.uses = o.regs[:f.NReg], o.uses[:f.NReg]
+	if o.avail == nil {
+		o.avail = map[cseKey]cseVal{}
+	}
+	clear(o.avail)
+}
+
+// define records a definition of v and returns its generation.
+func (o *optimizer) define(v VReg) int {
+	o.gen++
+	o.regs[v].redef = o.gen
+	return o.gen
 }
 
 // immEncodable reports whether the target has an immediate form of op
@@ -64,23 +121,18 @@ func immEncodable(spec *isa.Spec, op IOp, cond isa.Cond, v int64) bool {
 }
 
 // localOpt does constant/copy propagation and folding within one block.
-func localOpt(f *IRFunc, b *Block, spec *isa.Spec) bool {
+func (o *optimizer) localOpt(b *Block) bool {
 	changed := false
-	constVal := map[VReg]int64{}
-	copyOf := map[VReg]VReg{}
-
-	kill := func(v VReg) {
-		delete(constVal, v)
-		for k, src := range copyOf { //detlint:ignore rangemap conditional deletes, order-free
-
-			if src == v || k == v {
-				delete(copyOf, k)
-			}
-		}
+	o.gen++
+	start := o.gen // facts recorded before this generation are stale
+	constOf := func(v VReg) (int64, bool) {
+		r := &o.regs[v]
+		return r.constVal, r.constGen >= start && r.constGen == r.redef
 	}
 	resolve := func(v VReg) VReg {
-		if src, ok := copyOf[v]; ok {
-			return src
+		if r := &o.regs[v]; r.copyGen >= start && r.copyGen == r.redef &&
+			o.regs[r.copyOf].redef == r.srcGen {
+			return r.copyOf
 		}
 		return v
 	}
@@ -120,8 +172,8 @@ func localOpt(f *IRFunc, b *Block, spec *isa.Spec) bool {
 
 		// Constant folding happens regardless of encodability.
 		if in.Ty == TI32 && in.A != NoV && in.B != NoV {
-			if av, aok := constVal[in.A]; aok {
-				if bv, bok := constVal[in.B]; bok {
+			if av, aok := constOf(in.A); aok {
+				if bv, bok := constOf(in.B); bok {
 					if in.Op == ICmp {
 						v := int64(0)
 						if in.Cond.EvalInt(int32(av), int32(bv)) {
@@ -140,7 +192,7 @@ func localOpt(f *IRFunc, b *Block, spec *isa.Spec) bool {
 		// Immediate formation: a constant B operand becomes BImm when the
 		// target can encode it.
 		if !in.HasBImm && in.B != NoV && in.Ty == TI32 {
-			if cv, ok := constVal[in.B]; ok && immEncodable(spec, in.Op, in.Cond, cv) {
+			if cv, ok := constOf(in.B); ok && immEncodable(o.spec, in.Op, in.Cond, cv) {
 				switch in.Op {
 				case IAdd, ISub, IMul, IDiv, IRem, IAnd, IOr, IXor,
 					IShl, IShr, ISra, ICmp:
@@ -151,16 +203,16 @@ func localOpt(f *IRFunc, b *Block, spec *isa.Spec) bool {
 		}
 		// Commute a constant left operand into BImm where legal.
 		if !in.HasBImm && in.A != NoV && in.B != NoV && in.Ty == TI32 {
-			if cv, ok := constVal[in.A]; ok {
+			if cv, ok := constOf(in.A); ok {
 				switch in.Op {
 				case IAdd, IAnd, IOr, IXor, IMul:
-					if immEncodable(spec, in.Op, in.Cond, cv) {
+					if immEncodable(o.spec, in.Op, in.Cond, cv) {
 						in.A = in.B
 						in.HasBImm, in.BImm, in.B = true, cv, NoV
 						changed = true
 					}
 				case ICmp:
-					if immEncodable(spec, ICmp, in.Cond.Swapped(), cv) {
+					if immEncodable(o.spec, ICmp, in.Cond.Swapped(), cv) {
 						in.A = in.B
 						in.HasBImm, in.BImm, in.B = true, cv, NoV
 						in.Cond = in.Cond.Swapped()
@@ -172,12 +224,12 @@ func localOpt(f *IRFunc, b *Block, spec *isa.Spec) bool {
 
 		// Folding and algebraic simplification.
 		if in.Ty == TI32 && in.HasBImm {
-			if av, ok := constVal[in.A]; ok && in.Op != ICmp {
+			if av, ok := constOf(in.A); ok && in.Op != ICmp {
 				if v, ok := foldInt(in.Op, av, in.BImm); ok {
 					*in = Ins{Op: IConst, Ty: TI32, Dst: in.Dst, Imm: v}
 					changed = true
 				}
-			} else if av, ok := constVal[in.A]; ok && in.Op == ICmp {
+			} else if av, ok := constOf(in.A); ok && in.Op == ICmp {
 				v := int64(0)
 				if in.Cond.EvalInt(int32(av), int32(in.BImm)) {
 					v = 1
@@ -200,15 +252,18 @@ func localOpt(f *IRFunc, b *Block, spec *isa.Spec) bool {
 		}
 
 		// Update the local environment.
+		// A definition retires every fact about d and every copy of d.
 		if d := in.def(); d != NoV {
-			kill(d)
+			g := o.define(d)
+			r := &o.regs[d]
 			switch {
 			case in.Op == IConst && in.Ty == TI32:
-				constVal[d] = in.Imm
+				r.constGen, r.constVal = g, in.Imm
 			case in.Op == IMov && in.A != d:
-				copyOf[d] = resolve(in.A)
-				if cv, ok := constVal[copyOf[d]]; ok {
-					constVal[d] = cv
+				src := resolve(in.A)
+				r.copyGen, r.copyOf, r.srcGen = g, src, o.regs[src].redef
+				if cv, ok := constOf(src); ok {
+					r.constGen, r.constVal = g, cv
 				}
 			}
 		}
@@ -309,23 +364,18 @@ type cseKey struct {
 
 // localCSE eliminates repeated pure computations (and repeated loads
 // between memory-clobbering points) within a block.
-func localCSE(f *IRFunc, b *Block) bool {
+func (o *optimizer) localCSE(b *Block) bool {
 	changed := false
-	avail := map[cseKey]VReg{}
 	memGen := 0
-	redef := map[VReg]int{} // vreg -> generation of last redefinition
-	gen := 0
-
-	valid := func(v VReg, bornGen int) bool { return redef[v] <= bornGen }
-	born := map[cseKey]int{}
+	o.gen++
+	start := o.gen // expressions born before this generation are stale
 
 	for i := range b.Ins {
 		in := &b.Ins[i]
 		// Account the definition FIRST: an expression's own def must not
 		// look like a later redefinition when a duplicate checks it.
 		if d := in.def(); d != NoV {
-			gen++
-			redef[d] = gen
+			o.define(d)
 		}
 		var key cseKey
 		pure := false
@@ -350,14 +400,13 @@ func localCSE(f *IRFunc, b *Block) bool {
 		case IStore, ICall:
 			memGen++
 		}
-		if pure {
-			if prev, ok := avail[key]; ok && prev != in.Dst &&
-				valid(prev, born[key]) && operandsValid(in, born[key], redef) {
-				*in = Ins{Op: IMov, Ty: in.Ty, Dst: in.Dst, A: prev}
+		if pure && in.Dst != NoV {
+			if prev, ok := o.avail[key]; ok && prev.born >= start && prev.v != in.Dst &&
+				o.regs[prev.v].redef <= prev.born && o.operandsValid(in, prev.born) {
+				*in = Ins{Op: IMov, Ty: in.Ty, Dst: in.Dst, A: prev.v}
 				changed = true
 			} else {
-				avail[key] = in.Dst
-				born[key] = gen
+				o.avail[key] = cseVal{in.Dst, o.gen}
 			}
 		}
 	}
@@ -366,10 +415,10 @@ func localCSE(f *IRFunc, b *Block) bool {
 
 // operandsValid checks that an instruction's operands have not been
 // redefined since the candidate expression was computed.
-func operandsValid(in *Ins, bornGen int, redef map[VReg]int) bool {
+func (o *optimizer) operandsValid(in *Ins, bornGen int) bool {
 	var buf [4]VReg
 	for _, u := range in.uses(buf[:0]) {
-		if redef[u] > bornGen {
+		if o.regs[u].redef > bornGen {
 			return false
 		}
 	}
@@ -377,30 +426,30 @@ func operandsValid(in *Ins, bornGen int, redef map[VReg]int) bool {
 }
 
 // deadCode removes instructions whose results are never used.
-func deadCode(f *IRFunc) bool {
+func (o *optimizer) deadCode() bool {
 	changed := false
 	for {
-		uses := map[VReg]int{}
-		for _, b := range f.Blocks {
+		clear(o.uses)
+		for _, b := range o.f.Blocks {
 			for i := range b.Ins {
 				var buf [4]VReg
 				for _, u := range b.Ins[i].uses(buf[:0]) {
-					uses[u]++
+					o.uses[u]++
 				}
 			}
 		}
 		removed := false
-		for _, b := range f.Blocks {
+		for _, b := range o.f.Blocks {
 			out := b.Ins[:0]
 			for i := range b.Ins {
 				in := b.Ins[i]
 				d := in.def()
-				if d != NoV && uses[d] == 0 && !in.hasSideEffects() {
+				if d != NoV && o.uses[d] == 0 && !in.hasSideEffects() {
 					removed = true
 					continue
 				}
 				// Dead call results become void calls.
-				if in.Op == ICall && in.Dst != NoV && uses[in.Dst] == 0 {
+				if in.Op == ICall && in.Dst != NoV && o.uses[in.Dst] == 0 {
 					in.Dst = NoV
 				}
 				out = append(out, in)
@@ -458,22 +507,29 @@ func blockConst(b *Block, v VReg) (int64, bool) {
 // (a block containing only "br X" is bypassed).
 func pruneBlocks(f *IRFunc) bool {
 	changed := false
+	n := f.NBlock
 
-	// Jump threading.
-	thread := map[int]int{}
+	// Jump threading. seen holds the stamp of the resolve call that last
+	// visited a block, so a threading cycle stops where it closes.
+	thread := make([]int, n)
+	seen := make([]int, n)
+	for i := range thread {
+		thread[i] = -1
+	}
 	for _, b := range f.Blocks {
 		if len(b.Ins) == 1 && b.Ins[0].Op == IBr {
 			thread[b.ID] = int(b.Ins[0].Imm)
 		}
 	}
+	stamp := 0
 	resolve := func(id int) int {
-		seen := map[int]bool{}
+		stamp++
 		for {
-			nxt, ok := thread[id]
-			if !ok || seen[id] {
+			nxt := thread[id]
+			if nxt < 0 || seen[id] == stamp {
 				return id
 			}
-			seen[id] = true
+			seen[id] = stamp
 			id = nxt
 		}
 	}
@@ -501,12 +557,10 @@ func pruneBlocks(f *IRFunc) bool {
 	}
 
 	// Reachability.
-	reach := map[int]bool{0: true}
+	byID := f.blocksByID()
+	reach := make([]bool, n)
+	reach[0] = true
 	work := []int{0}
-	byID := map[int]*Block{}
-	for _, b := range f.Blocks {
-		byID[b.ID] = b
-	}
 	for len(work) > 0 {
 		id := work[len(work)-1]
 		work = work[:len(work)-1]
@@ -517,7 +571,7 @@ func pruneBlocks(f *IRFunc) bool {
 			}
 		}
 	}
-	var out []*Block
+	out := f.Blocks[:0]
 	for _, b := range f.Blocks {
 		if reach[b.ID] {
 			out = append(out, b)
@@ -536,30 +590,44 @@ func pruneBlocks(f *IRFunc) bool {
 // address computations (GCC exposes addresses the same way). layout maps
 // global symbol names to their offsets from the data base (gp).
 func Legalize(f *IRFunc, spec *isa.Spec, layout map[string]int32) {
-	for _, b := range f.Blocks {
-		var out []Ins
-		for i := range b.Ins {
-			in := b.Ins[i]
-			if (in.Op == ILoad || in.Op == IStore) && !addrEncodable(&in, spec, layout) {
-				// addr = &X; access [addr + 0]
-				av := f.NewVReg(TI32)
-				addr := Ins{Op: IAddr, Ty: TI32, Dst: av, AK: in.AK, A: in.A,
-					Sym: in.Sym, Slot: in.Slot, Off: in.Off}
-				if in.Op == IStore {
-					addr.A = NoV
-					if in.AK == AKReg {
-						addr.A = in.B
-					}
-				}
-				out = append(out, addr)
-				in.AK, in.Off, in.Sym, in.Slot = AKReg, 0, "", -1
-				if in.Op == IStore {
-					in.B = av
-				} else {
-					in.A = av
-				}
+	f.rewrite(func(in Ins) bool {
+		return (in.Op == ILoad || in.Op == IStore) && !addrEncodable(&in, spec, layout)
+	}, func(out []Ins, in Ins) []Ins {
+		// addr = &X; access [addr + 0]
+		av := f.NewVReg(TI32)
+		addr := Ins{Op: IAddr, Ty: TI32, Dst: av, AK: in.AK, A: in.A,
+			Sym: in.Sym, Slot: in.Slot, Off: in.Off}
+		if in.Op == IStore {
+			addr.A = NoV
+			if in.AK == AKReg {
+				addr.A = in.B
 			}
-			out = append(out, in)
+		}
+		in.AK, in.Off, in.Sym, in.Slot = AKReg, 0, "", -1
+		if in.Op == IStore {
+			in.B = av
+		} else {
+			in.A = av
+		}
+		return append(out, addr, in)
+	})
+}
+
+// rewrite rebuilds each block holding an instruction match accepts: lower
+// appends such an instruction's replacement to out, and the rest stay.
+// A block with no match keeps its instructions.
+func (f *IRFunc) rewrite(match func(Ins) bool, lower func(out []Ins, in Ins) []Ins) {
+	for _, b := range f.Blocks {
+		if !slices.ContainsFunc(b.Ins, match) {
+			continue
+		}
+		var out []Ins
+		for _, in := range b.Ins {
+			if match(in) {
+				out = lower(out, in)
+			} else {
+				out = append(out, in)
+			}
 		}
 		b.Ins = out
 	}
@@ -618,12 +686,9 @@ func fitsDisp(spec *isa.Spec, off int32, subword bool) bool {
 // occupy a register (spilling a hoisted value would just trade pool
 // loads for stack traffic).
 func Hoist(f *IRFunc, spec *isa.Spec, layout map[string]int32) {
-	byID := map[int]*Block{}
-	for _, b := range f.Blocks {
-		byID[b.ID] = b
-	}
+	byID := f.blocksByID()
 	// A vreg is hoistable only if it has exactly one definition.
-	defCount := map[VReg]int{}
+	defCount := make([]int, f.NReg)
 	for _, b := range f.Blocks {
 		for i := range b.Ins {
 			if d := b.Ins[i].def(); d != NoV {
@@ -660,22 +725,16 @@ func Hoist(f *IRFunc, spec *isa.Spec, layout map[string]int32) {
 	// Innermost loops first (the order the IR generator records them);
 	// instructions cascade outward through nested preheaders.
 	for _, loop := range f.Loops {
-		pre, ok := byID[loop.Pre]
-		if !ok || pre.Term() == nil {
+		pre := byID[loop.Pre]
+		if pre == nil || pre.Term() == nil {
 			continue
 		}
-		// Member IDs in sorted order: hoisted instructions must land in
-		// the preheader in a run-independent order or downstream vreg
-		// numbering (and with it allocation) becomes nondeterministic.
-		ids := make([]int, 0, len(loop.Blocks))
-		for id := range loop.Blocks { //detlint:ignore rangemap sorted immediately below
-			ids = append(ids, id)
-		}
-		sort.Ints(ids)
+		// Member IDs in ascending order: hoisted instructions land in the
+		// preheader in a run-independent order.
 		var hoisted []Ins
-		for _, id := range ids {
-			b, ok := byID[id]
-			if !ok {
+		for _, id := range loop.Blocks {
+			b := byID[id]
+			if b == nil {
 				continue
 			}
 			kept := b.Ins[:0]
@@ -711,52 +770,33 @@ func LowerCallTargets(f *IRFunc, spec *isa.Spec) {
 	if spec.HasJType {
 		return // DLXe jl is a one-instruction direct call
 	}
-	for _, b := range f.Blocks {
-		var out []Ins
-		for i := range b.Ins {
-			in := b.Ins[i]
-			if in.Op == ICall && !in.Builtin && in.A == NoV {
-				t := f.NewVReg(TI32)
-				out = append(out, Ins{Op: IAddr, Ty: TI32, Dst: t,
-					AK: AKGlobal, Sym: in.Sym})
-				in.A = t
-			}
-			out = append(out, in)
-		}
-		b.Ins = out
-	}
+	f.rewrite(func(in Ins) bool {
+		return in.Op == ICall && !in.Builtin && in.A == NoV
+	}, func(out []Ins, in Ins) []Ins {
+		t := f.NewVReg(TI32)
+		in.A = t
+		return append(out, Ins{Op: IAddr, Ty: TI32, Dst: t, AK: AKGlobal, Sym: in.Sym}, in)
+	})
 }
+
+// arithCalls names the runtime routine LowerCalls calls for each op.
+var arithCalls = map[IOp]string{IMul: "__mul", IDiv: "__div", IRem: "__mod"}
 
 // LowerCalls rewrites multiply/divide/remainder that survived strength
 // reduction into runtime-library calls (__mul, __div, __mod); the paper's
 // machines have no integer multiply or divide instructions.
 func LowerCalls(f *IRFunc) {
-	for _, b := range f.Blocks {
-		var out []Ins
-		for i := range b.Ins {
-			in := b.Ins[i]
-			var name string
-			switch in.Op {
-			case IMul:
-				name = "__mul"
-			case IDiv:
-				name = "__div"
-			case IRem:
-				name = "__mod"
-			default:
-				out = append(out, in)
-				continue
-			}
-			bArg := in.B
-			if in.HasBImm {
-				cv := f.NewVReg(TI32)
-				out = append(out, Ins{Op: IConst, Ty: TI32, Dst: cv, Imm: in.BImm})
-				bArg = cv
-			}
-			f.HasCall = true
-			out = append(out, Ins{Op: ICall, Ty: TI32, Dst: in.Dst, A: NoV,
-				Sym: name, Args: []VReg{in.A, bArg}})
+	f.rewrite(func(in Ins) bool {
+		return in.Op == IMul || in.Op == IDiv || in.Op == IRem
+	}, func(out []Ins, in Ins) []Ins {
+		bArg := in.B
+		if in.HasBImm {
+			cv := f.NewVReg(TI32)
+			out = append(out, Ins{Op: IConst, Ty: TI32, Dst: cv, Imm: in.BImm})
+			bArg = cv
 		}
-		b.Ins = out
-	}
+		f.HasCall = true
+		return append(out, Ins{Op: ICall, Ty: TI32, Dst: in.Dst, A: NoV,
+			Sym: arithCalls[in.Op], Args: []VReg{in.A, bArg}})
+	})
 }

@@ -28,6 +28,13 @@ func retI(b *Block, v VReg) {
 	b.Ins = append(b.Ins, Ins{Op: IRet, Ty: TI32, A: v})
 }
 
+// newOptimizer returns an optimizer set up for f, for running one pass.
+func newOptimizer(f *IRFunc, spec *isa.Spec) *optimizer {
+	o := new(optimizer)
+	o.reset(f, spec)
+	return o
+}
+
 func countOps(f *IRFunc, op IOp) int {
 	n := 0
 	for _, b := range f.Blocks {
@@ -156,7 +163,7 @@ func TestCSEInvalidatedByRedefinition(t *testing.T) {
 	retI(b, s)
 	before := countOps(f, IAdd)
 	for _, blk := range f.Blocks {
-		localCSE(f, blk)
+		newOptimizer(f, nil).localCSE(blk)
 	}
 	if countOps(f, IAdd) != before {
 		t.Fatalf("CSE merged across a redefinition:\n%s", f)
@@ -176,7 +183,7 @@ func TestCSELoadsInvalidatedByStore(t *testing.T) {
 	s := binI(f, b, IAdd, l1, l2)
 	retI(b, s)
 	for _, blk := range f.Blocks {
-		localCSE(f, blk)
+		newOptimizer(f, nil).localCSE(blk)
 	}
 	if countOps(f, ILoad) != 2 {
 		t.Fatalf("load CSE ignored an intervening store:\n%s", f)
@@ -194,7 +201,7 @@ func TestCSELoadsInvalidatedByStore(t *testing.T) {
 	s2 := binI(f2, b2, IAdd, m1, m2)
 	retI(b2, s2)
 	for _, blk := range f2.Blocks {
-		localCSE(f2, blk)
+		newOptimizer(f2, nil).localCSE(blk)
 	}
 	if countOps(f2, ILoad) != 1 {
 		t.Fatalf("duplicate load not merged:\n%s", f2)
@@ -209,7 +216,7 @@ func TestDeadCodeElimination(t *testing.T) {
 	binI(f, b, IAdd, p, p) // dead
 	live := binI(f, b, ISub, p, p)
 	retI(b, live)
-	deadCode(f)
+	newOptimizer(f, nil).deadCode()
 	if countOps(f, IAdd) != 0 {
 		t.Fatalf("dead add survived:\n%s", f)
 	}
@@ -265,7 +272,7 @@ func TestHoistMovesExpensiveConstantsOnly(t *testing.T) {
 		retI(exit, p)
 		f.Slots = []SlotInfo{{Name: "x", Size: 4, Align: 4}}
 		f.Loops = []Loop{{Pre: pre.ID, Head: head.ID,
-			Blocks: map[int]bool{head.ID: true, body.ID: true}}}
+			Blocks: []int{head.ID, body.ID}}}
 		return f, pre, body
 	}
 
@@ -343,5 +350,55 @@ func TestLowerCallTargetsOnlyOnD16(t *testing.T) {
 	LowerCallTargets(dlxe, isa.DLXe())
 	if countOps(dlxe, IAddr) != 0 {
 		t.Fatalf("DLXe should keep direct calls:\n%s", dlxe)
+	}
+}
+
+// TestCopyPropagationStopsAtSourceRedefinition: after c = mov p, a use
+// of c reads p only until p is redefined; later uses keep c.
+func TestCopyPropagationStopsAtSourceRedefinition(t *testing.T) {
+	f := irFunc()
+	b := f.NewBlock()
+	p := f.NewVReg(TI32)
+	q := f.NewVReg(TI32)
+	f.Params = append(f.Params, p, q)
+	c := f.NewVReg(TI32)
+	b.Ins = append(b.Ins, Ins{Op: IMov, Ty: TI32, Dst: c, A: p})
+	early := binI(f, b, IAdd, c, q)
+	b.Ins = append(b.Ins, Ins{Op: IMov, Ty: TI32, Dst: p, A: q}) // p redefined
+	late := binI(f, b, IAdd, c, q)
+	retI(b, binI(f, b, IAdd, early, late))
+	newOptimizer(f, isa.D16()).localOpt(b)
+	for i := range b.Ins {
+		in := &b.Ins[i]
+		switch in.Dst {
+		case early:
+			if in.A != p {
+				t.Errorf("use of c before p's redefinition reads v%d, want p (v%d):\n%s", in.A, p, f)
+			}
+		case late:
+			if in.A != c {
+				t.Errorf("use of c after p's redefinition reads v%d, want c (v%d):\n%s", in.A, c, f)
+			}
+		}
+	}
+}
+
+// TestDeadCodeRemovesChains: a chain of dead definitions, each dead only
+// once the next is gone, disappears in one deadCode call.
+func TestDeadCodeRemovesChains(t *testing.T) {
+	f := irFunc()
+	b := f.NewBlock()
+	p := f.NewVReg(TI32)
+	f.Params = append(f.Params, p)
+	x := p
+	for i := 0; i < 4; i++ {
+		x = binI(f, b, IAdd, x, x) // each feeds only the next
+	}
+	retI(b, p)
+	if !newOptimizer(f, nil).deadCode() {
+		t.Fatal("deadCode reported no change")
+	}
+	if n := countOps(f, IAdd); n != 0 {
+		t.Fatalf("%d links of a dead chain survived:\n%s", n, f)
 	}
 }

@@ -1,6 +1,7 @@
 package mcc
 
 import (
+	"math/bits"
 	"sort"
 
 	"repro/internal/isa"
@@ -81,7 +82,7 @@ func Allocate(f *IRFunc, spec *isa.Spec) *Alloc {
 
 	intPool := newPool(isa.AllocatableGPRs(spec))
 	fpPool := newPool(isa.AllocatableFPRs(spec))
-	usedCallee := map[isa.Reg]bool{}
+	var usedCallee regMask
 
 	var active []*interval
 	expire := func(now int) {
@@ -122,7 +123,7 @@ func Allocate(f *IRFunc, spec *isa.Spec) *Alloc {
 		var r isa.Reg = isa.NoReg
 		for _, h := range hints[iv.v] {
 			hr := a.Reg[h]
-			if hr == isa.NoReg || !pool.free_[hr] {
+			if hr == isa.NoReg || !pool.free_.has(hr) {
 				continue
 			}
 			if iv.crossCall && !isa.CalleeSaved(hr) {
@@ -131,7 +132,7 @@ func Allocate(f *IRFunc, spec *isa.Spec) *Alloc {
 			if iv.crossBuiltin && (hr == isa.RetReg || hr == isa.FRetReg) {
 				continue
 			}
-			pool.free_[hr] = false
+			pool.free_ &^= regBit(hr)
 			r = hr
 			break
 		}
@@ -141,7 +142,7 @@ func Allocate(f *IRFunc, spec *isa.Spec) *Alloc {
 		if r != isa.NoReg {
 			a.Reg[iv.v] = r
 			if isa.CalleeSaved(r) {
-				usedCallee[r] = true
+				usedCallee |= regBit(r)
 			}
 			active = append(active, iv)
 			continue
@@ -171,7 +172,7 @@ func Allocate(f *IRFunc, spec *isa.Spec) *Alloc {
 			a.SpillSlot[victim.v] = spillSlotFor(victim.v)
 			a.Reg[iv.v] = r
 			if isa.CalleeSaved(r) {
-				usedCallee[r] = true
+				usedCallee |= regBit(r)
 			}
 			for j, act := range active {
 				if act == victim {
@@ -185,31 +186,44 @@ func Allocate(f *IRFunc, spec *isa.Spec) *Alloc {
 	}
 
 	for _, r := range append(isa.AllocatableGPRs(spec), isa.AllocatableFPRs(spec)...) {
-		if usedCallee[r] {
+		if usedCallee.has(r) {
 			a.UsedCalleeSaved = append(a.UsedCalleeSaved, r)
 		}
 	}
 	return a
 }
 
+// bitset is a set of VRegs, one bit each.
+type bitset []uint64
+
+func (s bitset) add(v VReg)      { s[v/64] |= 1 << (v % 64) }
+func (s bitset) has(v VReg) bool { return s[v/64]&(1<<(v%64)) != 0 }
+
+// regMask is a set of registers, one bit per isa.Reg (every valid
+// register number is below 64).
+type regMask uint64
+
+func regBit(r isa.Reg) regMask       { return 1 << r }
+func (m regMask) has(r isa.Reg) bool { return m&regBit(r) != 0 }
+
 // pool hands out registers, preferring caller-saved unless the interval
 // crosses a call.
 type pool struct {
 	order []isa.Reg
-	free_ map[isa.Reg]bool
+	free_ regMask
 }
 
 func newPool(regs []isa.Reg) *pool {
-	p := &pool{order: regs, free_: map[isa.Reg]bool{}}
+	p := &pool{order: regs}
 	for _, r := range regs {
-		p.free_[r] = true
+		p.free_ |= regBit(r)
 	}
 	return p
 }
 
 func (p *pool) take(needCalleeSaved, avoidRetReg bool) isa.Reg {
 	for _, r := range p.order {
-		if !p.free_[r] {
+		if !p.free_.has(r) {
 			continue
 		}
 		if needCalleeSaved && !isa.CalleeSaved(r) {
@@ -218,7 +232,7 @@ func (p *pool) take(needCalleeSaved, avoidRetReg bool) isa.Reg {
 		if avoidRetReg && (r == isa.RetReg || r == isa.FRetReg) {
 			continue
 		}
-		p.free_[r] = false
+		p.free_ &^= regBit(r)
 		return r
 	}
 	return isa.NoReg
@@ -226,7 +240,7 @@ func (p *pool) take(needCalleeSaved, avoidRetReg bool) isa.Reg {
 
 func (p *pool) free(r isa.Reg) {
 	if r != isa.NoReg {
-		p.free_[r] = true
+		p.free_ |= regBit(r)
 	}
 }
 
@@ -234,8 +248,8 @@ func (p *pool) free(r isa.Reg) {
 // for two-address-relevant `op d, a, b` patterns, d prefers a's (or s's)
 // register. Hints are bidirectional so whichever interval is allocated
 // first seeds the other.
-func moveHints(f *IRFunc) map[VReg][]VReg {
-	h := map[VReg][]VReg{}
+func moveHints(f *IRFunc) [][]VReg {
+	h := make([][]VReg, f.NReg)
 	add := func(a, b VReg) {
 		if a == NoV || b == NoV || a == b {
 			return
@@ -262,14 +276,14 @@ func moveHints(f *IRFunc) map[VReg][]VReg {
 // or definition counts, multiplied by 8 per enclosing source loop — the
 // classic loop-depth spill metric. Spilling a loop induction variable is
 // catastrophically worse than spilling a once-used address.
-func spillWeights(f *IRFunc) map[VReg]int64 {
-	depth := map[int]int{}
+func spillWeights(f *IRFunc) []int64 {
+	depth := make([]int, f.NBlock)
 	for _, l := range f.Loops {
-		for id := range l.Blocks { //detlint:ignore rangemap commutative counting, order-free
+		for _, id := range l.Blocks {
 			depth[id]++
 		}
 	}
-	w := map[VReg]int64{}
+	w := make([]int64, f.NReg)
 	for _, b := range f.Blocks {
 		mult := int64(1)
 		for d := 0; d < depth[b.ID] && d < 5; d++ {
@@ -293,66 +307,44 @@ func spillWeights(f *IRFunc) map[VReg]int64 {
 // function and the indices of clobbering calls (full calls and builtin
 // traps, separately).
 func buildIntervals(f *IRFunc) ([]interval, []int, []int) {
-	// Block instruction index ranges. Numbering starts at 1: index 0 is
-	// the function entry, where parameters become live — so a call that
-	// is the very first instruction still counts as crossed by them.
-	type brange struct{ start, end int }
-	ranges := make(map[int]brange, len(f.Blocks))
-	idx := 1
-	for _, b := range f.Blocks {
-		s := idx
-		idx += len(b.Ins)
-		ranges[b.ID] = brange{s, idx}
+	// Block-level liveness (backward dataflow) over bit rows of VRegs:
+	// use, def, live-in and live-out per block position.
+	nb, words := len(f.Blocks), (f.NReg+63)/64
+	rows := make(bitset, 4*nb*words)
+	row := func(set, bi int) bitset {
+		o := (set*nb + bi) * words
+		return rows[o : o+words : o+words]
 	}
-
-	// Block-level liveness (backward dataflow).
-	useS := map[int]map[VReg]bool{}
-	defS := map[int]map[VReg]bool{}
-	for _, b := range f.Blocks {
-		u, d := map[VReg]bool{}, map[VReg]bool{}
+	const useSet, defSet, inSet, outSet = 0, 1, 2, 3
+	pos := make([]int, f.NBlock) // block ID -> position
+	for bi, b := range f.Blocks {
+		pos[b.ID] = bi
+		u, d := row(useSet, bi), row(defSet, bi)
 		for i := range b.Ins {
 			var buf [4]VReg
 			for _, src := range b.Ins[i].uses(buf[:0]) {
-				if !d[src] {
-					u[src] = true
+				if !d.has(src) {
+					u.add(src)
 				}
 			}
 			if dst := b.Ins[i].def(); dst != NoV {
-				d[dst] = true
+				d.add(dst)
 			}
 		}
-		useS[b.ID], defS[b.ID] = u, d
-	}
-	liveIn := map[int]map[VReg]bool{}
-	liveOut := map[int]map[VReg]bool{}
-	for _, b := range f.Blocks {
-		liveIn[b.ID] = map[VReg]bool{}
-		liveOut[b.ID] = map[VReg]bool{}
 	}
 	for changed := true; changed; {
 		changed = false
-		for i := len(f.Blocks) - 1; i >= 0; i-- {
-			b := f.Blocks[i]
-			out := liveOut[b.ID]
-			for _, s := range b.Succs() {
-				for v := range liveIn[s] { //detlint:ignore rangemap set-union fixpoint, order-free
-					if !out[v] {
-						out[v] = true
-						changed = true
-					}
+		for bi := nb - 1; bi >= 0; bi-- {
+			out := row(outSet, bi)
+			for _, s := range f.Blocks[bi].Succs() {
+				for k, w := range row(inSet, pos[s]) {
+					out[k] |= w
 				}
 			}
-			in := liveIn[b.ID]
-			for v := range useS[b.ID] { //detlint:ignore rangemap set-union fixpoint, order-free
-				if !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-			for v := range out { //detlint:ignore rangemap set-union fixpoint, order-free
-				if !defS[b.ID][v] && !in[v] {
-					in[v] = true
-					changed = true
+			in, u, d := row(inSet, bi), row(useSet, bi), row(defSet, bi)
+			for k := range in {
+				if w := in[k] | u[k] | out[k]&^d[k]; w != in[k] {
+					in[k], changed = w, true
 				}
 			}
 		}
@@ -382,16 +374,21 @@ func buildIntervals(f *IRFunc) ([]interval, []int, []int) {
 		touch(p, 0)
 	}
 
+	// Numbering starts at 1: index 0 is the function entry, where
+	// parameters become live, so a call that is the very first
+	// instruction still counts as crossed by them.
+	touchRow := func(r bitset, at int) {
+		for k, w := range r {
+			for ; w != 0; w &= w - 1 {
+				touch(VReg(k*64+bits.TrailingZeros64(w)), at)
+			}
+		}
+	}
 	var calls, builtins []int
-	idx = 1
-	for _, b := range f.Blocks {
-		r := ranges[b.ID]
-		for v := range liveIn[b.ID] { //detlint:ignore rangemap min/max accumulation, order-free
-			touch(v, r.start)
-		}
-		for v := range liveOut[b.ID] { //detlint:ignore rangemap min/max accumulation, order-free
-			touch(v, r.end)
-		}
+	idx := 1
+	for bi, b := range f.Blocks {
+		touchRow(row(inSet, bi), idx)
+		touchRow(row(outSet, bi), idx+len(b.Ins))
 		for i := range b.Ins {
 			in := &b.Ins[i]
 			var buf [4]VReg

@@ -102,7 +102,7 @@ func TestSpillPrefersColdValues(t *testing.T) {
 	retI(exit, s)
 
 	f.Loops = []Loop{{Pre: pre.ID, Head: head.ID,
-		Blocks: map[int]bool{head.ID: true, body.ID: true}}}
+		Blocks: []int{head.ID, body.ID}}}
 
 	a := Allocate(f, isa.D16())
 	if a.Spills == 0 {
@@ -172,4 +172,36 @@ func TestNoAliasedActiveRegisters(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestIntervalSpansLoop: a value defined before a loop and read in its
+// header is live around the back edge, so its interval covers the whole
+// loop body, not just the span up to its last read.
+func TestIntervalSpansLoop(t *testing.T) {
+	f := irFunc()
+	pre, head, body, exit := f.NewBlock(), f.NewBlock(), f.NewBlock(), f.NewBlock()
+	n := constI(f, pre, 10)
+	pre.Ins = append(pre.Ins, Ins{Op: IBr, Imm: int64(head.ID)})
+	i := f.NewVReg(TI32)
+	cond := binI(f, head, ICmp, i, n) // n's last read
+	head.Ins = append(head.Ins, Ins{Op: ICondBr, A: cond, Imm: int64(body.ID), Imm2: int64(exit.ID)})
+	for k := 0; k < 3; k++ {
+		binI(f, body, IAdd, i, i)
+	}
+	body.Ins = append(body.Ins, Ins{Op: IBr, Imm: int64(head.ID)})
+	retI(exit, i)
+
+	ivs, _, _ := buildIntervals(f)
+	// Instruction indices start at 1: pre is 1-2, head 3-4, body 5-8,
+	// and a value live out of the body reaches its end boundary, 9.
+	bodyEnd := 1 + len(pre.Ins) + len(head.Ins) + len(body.Ins)
+	for _, iv := range ivs {
+		if iv.v == n {
+			if iv.end < bodyEnd {
+				t.Fatalf("v%d live around the back edge ends at %d, before the body's end %d", n, iv.end, bodyEnd)
+			}
+			return
+		}
+	}
+	t.Fatalf("v%d has no interval", n)
 }

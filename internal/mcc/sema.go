@@ -423,12 +423,7 @@ func (p *parser) checkAssign(pos Pos, op TokKind, lhs, rhs Expr) Expr {
 		return &Assign{exprBase{pos, lt}, op, lhs, rhs}
 	}
 	// Compound assignment: type-check as the corresponding binary op.
-	binOp := map[TokKind]TokKind{
-		TokPlusEq: TokPlus, TokMinusEq: TokMinus, TokStarEq: TokStar,
-		TokSlashEq: TokSlash, TokPercentEq: TokPercent, TokAmpEq: TokAmp,
-		TokPipeEq: TokPipe, TokCaretEq: TokCaret, TokShlEq: TokShl,
-		TokShrEq: TokShr,
-	}[op]
+	binOp := compoundOp[op]
 	if lt.IsPtr() && (binOp == TokPlus || binOp == TokMinus) {
 		if !rhs.Type().IsInteger() {
 			p.errf(pos, "pointer %s needs an integer operand", op)

@@ -120,6 +120,14 @@ func (k TokKind) String() string {
 	return fmt.Sprintf("tok(%d)", uint8(k))
 }
 
+// compoundOp maps a compound assignment to its binary operator.
+var compoundOp = map[TokKind]TokKind{
+	TokPlusEq: TokPlus, TokMinusEq: TokMinus, TokStarEq: TokStar,
+	TokSlashEq: TokSlash, TokPercentEq: TokPercent, TokAmpEq: TokAmp,
+	TokPipeEq: TokPipe, TokCaretEq: TokCaret, TokShlEq: TokShl,
+	TokShrEq: TokShr,
+}
+
 var keywords = map[string]TokKind{
 	"int": TokInt, "char": TokChar, "float": TokFloat, "double": TokDouble,
 	"void": TokVoid, "if": TokIf, "else": TokElse, "while": TokWhile,

@@ -27,6 +27,7 @@ type analysis struct {
 
 // funcInfo is one function's structural analysis.
 type funcInfo struct {
+	idx    int // position in analysis.funcs: the index of per-function tables
 	fc     *funcCFGView
 	preds  [][]int
 	rpo    []int // block indices in reverse postorder from the entry
@@ -47,13 +48,13 @@ type funcCFGView = verify.FuncCFG
 // loopInfo is one natural loop (back edges merged per header).
 type loopInfo struct {
 	head     int
-	body     map[int]bool
-	bodyList []int // body block indices, ascending
-	backs    []int // back-edge source block indices, ascending
-	bound    int64 // max header executions per loop entry; ⊤ = -1
-	cap      int64 // max header executions per function invocation; memoized
-	done     bool  // cap computed
-	onCap    bool  // cap computation in progress (cycle guard)
+	body     []bool // per block index
+	bodyList []int  // body block indices, ascending
+	backs    []int  // back-edge source block indices, ascending
+	bound    int64  // max header executions per loop entry; ⊤ = -1
+	cap      int64  // max header executions per function invocation; memoized
+	done     bool   // cap computed
+	onCap    bool   // cap computation in progress (cycle guard)
 }
 
 func (a *analysis) diag(pc uint32, kind, msg string) {
@@ -71,8 +72,9 @@ func (a *analysis) diag(pc uint32, kind, msg string) {
 // build runs the structural analysis over every function.
 func (a *analysis) build() {
 	a.byEntry = map[uint32]*funcInfo{}
-	for _, fc := range a.cfg.Funcs {
+	for i, fc := range a.cfg.Funcs {
 		fi := a.buildFunc(fc)
+		fi.idx = i
 		a.funcs = append(a.funcs, fi)
 		a.byEntry[fc.Entry] = fi
 	}
@@ -204,7 +206,8 @@ func (fi *funcInfo) dominates(d, b int) bool {
 // back edge founding a natural loop; otherwise the flow is irreducible
 // and the function's upper bound goes to ⊤.
 func (a *analysis) findLoops(fi *funcInfo, succIdx [][]int, entry int) {
-	byHead := map[int]*loopInfo{}
+	n := len(fi.fc.Blocks)
+	byHead := make([]*loopInfo, n)
 	var heads []int
 	for _, u := range fi.rpo {
 		for _, h := range succIdx[u] {
@@ -219,7 +222,8 @@ func (a *analysis) findLoops(fi *funcInfo, succIdx [][]int, entry int) {
 			}
 			L := byHead[h]
 			if L == nil {
-				L = &loopInfo{head: h, body: map[int]bool{h: true}}
+				L = &loopInfo{head: h, body: make([]bool, n)}
+				L.body[h] = true
 				byHead[h] = L
 				heads = append(heads, h)
 			}
@@ -241,19 +245,19 @@ func (a *analysis) findLoops(fi *funcInfo, succIdx [][]int, entry int) {
 	for _, h := range heads {
 		L := byHead[h]
 		sort.Ints(L.backs)
-		for b := range L.body { //detlint:ignore rangemap sorted immediately below
-			L.bodyList = append(L.bodyList, b)
+		for b, in := range L.body {
+			if in {
+				L.bodyList = append(L.bodyList, b)
+			}
 		}
-		sort.Ints(L.bodyList)
 		fi.loops = append(fi.loops, L)
 	}
 	// Innermost-first order (smallest body), deterministic tie-break by
 	// header address order.
 	sort.SliceStable(fi.loops, func(i, j int) bool {
-		return len(fi.loops[i].body) < len(fi.loops[j].body)
+		return len(fi.loops[i].bodyList) < len(fi.loops[j].bodyList)
 	})
 
-	n := len(fi.fc.Blocks)
 	fi.loopOf = make([]int, n)
 	fi.depth = make([]int, n)
 	for i := range fi.loopOf {
@@ -474,10 +478,10 @@ func (a *analysis) detectRecursion() {
 		gray  = 1
 		black = 2
 	)
-	color := map[uint32]int{}
+	color := make([]int, len(a.funcs)) // by funcInfo.idx
 	var walk func(*funcInfo)
 	walk = func(fi *funcInfo) {
-		color[fi.fc.Entry] = gray
+		color[fi.idx] = gray
 		for _, blk := range fi.fc.Blocks {
 			if !blk.HasCall || blk.CallUnresolved {
 				continue
@@ -486,7 +490,7 @@ func (a *analysis) detectRecursion() {
 			if callee == nil {
 				continue
 			}
-			switch color[callee.fc.Entry] {
+			switch color[callee.idx] {
 			case gray:
 				a.diag(blk.PCs[len(blk.PCs)-2], DiagRecursion,
 					"call closes a recursion cycle through "+callee.fc.Name+"; upper bound is ⊤")
@@ -494,10 +498,10 @@ func (a *analysis) detectRecursion() {
 				walk(callee)
 			}
 		}
-		color[fi.fc.Entry] = black
+		color[fi.idx] = black
 	}
 	for _, fi := range a.funcs {
-		if color[fi.fc.Entry] == white {
+		if color[fi.idx] == white {
 			walk(fi)
 		}
 	}

@@ -68,11 +68,11 @@ func blockWorstCost(b *verify.Block, bus uint32, w int64) int64 {
 }
 
 // minSolution is the per-cell fixpoint of the interprocedural
-// shortest-path system: for every function, the fewest cycles from
-// entry to a return and to a halt.
+// shortest-path system: for every function (by funcInfo.idx), the fewest
+// cycles from entry to a return and to a halt.
 type minSolution struct {
-	minRet  map[uint32]int64
-	minHalt map[uint32]int64
+	minRet  []int64
+	minHalt []int64
 }
 
 // solveMin iterates per-function Dijkstra to the fixpoint. Every block
@@ -81,21 +81,22 @@ type minSolution struct {
 // (the minimum is achieved by call trees with no function repeated on a
 // chain; a cheaper repeat would contradict minimality).
 func (a *analysis) solveMin(bus uint32, w int64) *minSolution {
-	s := &minSolution{minRet: map[uint32]int64{}, minHalt: map[uint32]int64{}}
-	for _, fi := range a.funcs {
-		s.minRet[fi.fc.Entry] = inf
-		s.minHalt[fi.fc.Entry] = inf
+	n := len(a.funcs)
+	s := &minSolution{minRet: make([]int64, n), minHalt: make([]int64, n)}
+	for i := range a.funcs {
+		s.minRet[i] = inf
+		s.minHalt[i] = inf
 	}
-	for round := 0; round <= len(a.funcs)+1; round++ {
+	for round := 0; round <= n+1; round++ {
 		changed := false
-		for _, fi := range a.funcs {
+		for i, fi := range a.funcs {
 			r, h := a.funcMin(fi, bus, w, s)
-			if r < s.minRet[fi.fc.Entry] {
-				s.minRet[fi.fc.Entry] = r
+			if r < s.minRet[i] {
+				s.minRet[i] = r
 				changed = true
 			}
-			if h < s.minHalt[fi.fc.Entry] {
-				s.minHalt[fi.fc.Entry] = h
+			if h < s.minHalt[i] {
+				s.minHalt[i] = h
 				changed = true
 			}
 		}
@@ -164,8 +165,10 @@ func (a *analysis) funcMin(fi *funcInfo, bus uint32, w int64, s *minSolution) (i
 					minHalt = total
 				}
 			} else {
-				cr := s.minRet[blk.CallTarget]
-				if ch := s.minHalt[blk.CallTarget]; ch < inf && total+ch < minHalt {
+				// A clean image's resolved calls land on function entries.
+				callee := a.byEntry[blk.CallTarget].idx
+				cr, ch := s.minRet[callee], s.minHalt[callee]
+				if ch < inf && total+ch < minHalt {
 					minHalt = total + ch
 				}
 				if cr >= inf {
@@ -183,32 +186,36 @@ func (a *analysis) funcMin(fi *funcInfo, bus uint32, w int64, s *minSolution) (i
 	return minRet, minHalt
 }
 
-// maxCtx memoizes per-cell interprocedural worst-case totals.
+// maxCtx memoizes per-cell interprocedural worst-case totals, by
+// funcInfo.idx.
 type maxCtx struct {
 	a       *analysis
 	bus     uint32
 	w       int64
-	memo    map[uint32]int64
-	onStack map[uint32]bool
+	memo    []int64
+	done    []bool
+	onStack []bool
 }
 
 func (a *analysis) newMaxCtx(bus uint32, w int64) *maxCtx {
-	return &maxCtx{a: a, bus: bus, w: w, memo: map[uint32]int64{}, onStack: map[uint32]bool{}}
+	n := len(a.funcs)
+	return &maxCtx{a: a, bus: bus, w: w,
+		memo: make([]int64, n), done: make([]bool, n), onStack: make([]bool, n)}
 }
 
 // maxTotal bounds the cycles one invocation of the function at entry
 // consumes, callees included, regardless of how it terminates (extra
 // blocks a halting run never reaches only increase the bound).
 func (c *maxCtx) maxTotal(entry uint32) int64 {
-	if v, ok := c.memo[entry]; ok {
-		return v
-	}
 	fi := c.a.byEntry[entry]
-	if fi == nil || fi.maxTop || c.onStack[entry] {
+	if fi != nil && c.done[fi.idx] {
+		return c.memo[fi.idx]
+	}
+	if fi == nil || fi.maxTop || c.onStack[fi.idx] {
 		// Unknown function, structural ⊤, or a recursion cycle.
 		return top
 	}
-	c.onStack[entry] = true
+	c.onStack[fi.idx] = true
 	total := int64(0)
 	for bi, blk := range fi.fc.Blocks {
 		cost := blockWorstCost(blk, c.bus, c.w)
@@ -221,7 +228,7 @@ func (c *maxCtx) maxTotal(entry uint32) int64 {
 		}
 		total = tAdd(total, tMul(c.a.blockCap(fi, bi), cost))
 	}
-	delete(c.onStack, entry)
-	c.memo[entry] = total
+	c.onStack[fi.idx] = false
+	c.memo[fi.idx], c.done[fi.idx] = total, true
 	return total
 }

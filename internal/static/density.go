@@ -51,11 +51,12 @@ func (a *analysis) instrsIn(start, end uint32) int64 {
 // instruction's address so the overlapping blocks a branch-into-delay-
 // slot produces cannot double count.
 func (a *analysis) pairCensus(fc *funcCFGView) (cmpBr, ldcJmp int64) {
-	seen := map[uint32]bool{}
+	seen := make([]bool, (fc.End-fc.Entry+a.ib-1)/a.ib) // by slot from the entry
 	for _, b := range fc.Blocks {
 		for i := 0; i+1 < len(b.Instrs); i++ {
 			pc := b.PCs[i]
-			if b.PCs[i+1] != pc+a.ib || seen[pc] {
+			k := (pc - fc.Entry) / a.ib
+			if b.PCs[i+1] != pc+a.ib || seen[k] {
 				continue
 			}
 			cur, nx := b.Instrs[i], b.Instrs[i+1]
@@ -63,11 +64,11 @@ func (a *analysis) pairCensus(fc *funcCFGView) (cmpBr, ldcJmp int64) {
 			case cur.Op == isa.CMP && (nx.Op == isa.BZ || nx.Op == isa.BNZ) &&
 				nx.Rs1 == cur.Def():
 				cmpBr++
-				seen[pc] = true
+				seen[k] = true
 			case cur.Op == isa.LDC && nx.Op.IsJump() && !nx.HasImm &&
 				nx.Rs1 == cur.Def():
 				ldcJmp++
-				seen[pc] = true
+				seen[k] = true
 			}
 		}
 	}

@@ -87,7 +87,7 @@ func (a *analysis) report() *Report {
 		img.FuseLdcJump += fs.FuseLdcJump
 
 		for _, c := range cells {
-			mn := min64(c.sol.minRet[fc.Entry], c.sol.minHalt[fc.Entry])
+			mn := min64(c.sol.minRet[fi.idx], c.sol.minHalt[fi.idx])
 			if mn >= inf {
 				mn = 0 // no provable exit: the trivial lower bound
 			}
@@ -104,7 +104,7 @@ func (a *analysis) report() *Report {
 	// Whole-image grid: entry to halt. The entry fetch always misses the
 	// empty fetch buffer (+W) and the drain tail is constant.
 	for _, c := range cells {
-		mh := c.sol.minHalt[a.cfg.Entry]
+		mh := c.sol.minHalt[a.byEntry[a.cfg.Entry].idx]
 		row := BoundRow{BusBytes: c.bus, WaitStates: c.w}
 		if mh >= inf {
 			row.MinCycles = 0
@@ -119,7 +119,7 @@ func (a *analysis) report() *Report {
 
 	// MinInstrs: with zero wait states every cycle of the minimum is an
 	// issue, so the w=0 min-to-halt IS the shortest halting path length.
-	if mh := cells[0].sol.minHalt[a.cfg.Entry]; mh < inf {
+	if mh := cells[0].sol.minHalt[a.byEntry[a.cfg.Entry].idx]; mh < inf {
 		img.MinInstrs = mh
 	}
 

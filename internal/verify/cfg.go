@@ -80,15 +80,15 @@ type xferRec struct {
 }
 
 func (v *verifier) xrec(pc uint32) *xferRec {
-	x := v.control[pc]
+	x := v.control[v.idx(pc)]
 	if x == nil {
 		x = &xferRec{}
-		v.control[pc] = x
+		v.control[v.idx(pc)] = x
 	}
 	return x
 }
 
-func (v *verifier) noteHalt(pc uint32) { v.halts[pc] = true }
+func (v *verifier) noteHalt(pc uint32) { v.halts[v.idx(pc)] = true }
 
 func (v *verifier) noteTarget(pc, t uint32) {
 	x := v.xrec(pc)
@@ -136,33 +136,32 @@ func (v *verifier) buildCFG() *CFG {
 
 func (v *verifier) buildFuncCFG(f funcSpan) *FuncCFG {
 	// Leaders: the entry, every branch/jump target, and every
-	// fall-through resumption point after a control unit.
-	leaders := map[uint32]bool{f.start: true}
+	// fall-through resumption point after a control unit, by slot from
+	// the function's start. The walk recorded only targets and falls it
+	// validated, so all lie inside the function.
+	lo, hi := v.slots(f)
+	leaders := make([]bool, hi-lo)
+	leaders[0] = true
 	for pc := f.start; pc < f.end; pc += v.ib {
-		x := v.control[pc]
-		if x == nil || !v.rep.reachable[pc] {
+		if !v.isCode(pc) || !v.reached[v.idx(pc)] || v.control[v.idx(pc)] == nil {
 			continue
 		}
+		x := v.control[v.idx(pc)]
 		for _, t := range x.targets {
-			leaders[t] = true
+			leaders[v.idx(t)-lo] = true
 		}
 		if x.fall {
-			leaders[pc+2*v.ib] = true
+			leaders[v.idx(pc)+2-lo] = true
 		}
 	}
-
-	var starts []uint32
-	for l := range leaders { //detlint:ignore rangemap sorted immediately below
-		starts = append(starts, l)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
 
 	fc := &FuncCFG{Name: f.name, Entry: f.start, End: f.end, Index: map[uint32]int{}}
-	for _, l := range starts {
-		if l < f.start || l >= f.end || !v.isCode(l) || !v.rep.reachable[l] {
+	for i, l := range leaders {
+		pc := f.start + uint32(i)*v.ib
+		if !l || !v.isCode(pc) || !v.reached[v.idx(pc)] {
 			continue
 		}
-		b := v.scanBlock(f, l, leaders)
+		b := v.scanBlock(f, pc, leaders[i:])
 		fc.Index[b.Start] = len(fc.Blocks)
 		fc.Blocks = append(fc.Blocks, b)
 	}
@@ -170,9 +169,10 @@ func (v *verifier) buildFuncCFG(f funcSpan) *FuncCFG {
 }
 
 // scanBlock walks straight-line code from leader l until a terminator or
-// the next leader. Trap-0 shadows (the never-executed slot after a halt)
-// are excluded from the instruction list.
-func (v *verifier) scanBlock(f funcSpan, l uint32, leaders map[uint32]bool) *Block {
+// the next leader; leaders[k] marks the slot k instructions past l.
+// Trap-0 shadows (the never-executed slot after a halt) are excluded from
+// the instruction list.
+func (v *verifier) scanBlock(f funcSpan, l uint32, leaders []bool) *Block {
 	b := &Block{Start: l}
 	addSucc := func(t uint32) {
 		for _, have := range b.Succs {
@@ -185,7 +185,7 @@ func (v *verifier) scanBlock(f funcSpan, l uint32, leaders map[uint32]bool) *Blo
 	pc := l
 	for pc < f.end && v.isCode(pc) {
 		in := v.ins[v.idx(pc)]
-		if x := v.control[pc]; x != nil {
+		if x := v.control[v.idx(pc)]; x != nil {
 			// Control unit: transfer then its delay slot, in issue order.
 			slot := pc + v.ib
 			b.PCs = append(b.PCs, pc, slot)
@@ -205,12 +205,12 @@ func (v *verifier) scanBlock(f funcSpan, l uint32, leaders map[uint32]bool) *Blo
 		}
 		b.PCs = append(b.PCs, pc)
 		b.Instrs = append(b.Instrs, in)
-		if v.halts[pc] {
+		if v.halts[v.idx(pc)] {
 			b.Halts = true
 			break
 		}
 		next := pc + v.ib
-		if next < f.end && leaders[next] {
+		if next < f.end && leaders[(next-l)/v.ib] {
 			addSucc(next)
 			break
 		}

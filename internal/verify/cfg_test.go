@@ -3,6 +3,7 @@ package verify_test
 import (
 	"testing"
 
+	"repro/internal/asm"
 	"repro/internal/bench"
 	"repro/internal/isa"
 	"repro/internal/mcc"
@@ -66,5 +67,23 @@ func TestCFGConsistency(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A text segment may end in data shorter than an instruction slot: the
+// walk and the CFG cover the code before it and never index past the
+// last whole slot.
+func TestCFGTextEndsInDataByte(t *testing.T) {
+	spec := isa.D16()
+	img, err := asm.Assemble("odd.s", "\t.text\n_start:\n\tmvi r4, 1\n\ttrap 0\n\tnop\n\t.byte 7\n", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(img.Text)%2 == 0 {
+		t.Fatalf("text is %d bytes, want an odd length", len(img.Text))
+	}
+	rep := verify.Image(img, spec)
+	if g := rep.CFG(); g == nil || len(g.Funcs) != 1 || len(g.Funcs[0].Blocks) != 1 {
+		t.Fatalf("want one function of one block, got report:\n%v", rep.Err())
 	}
 }

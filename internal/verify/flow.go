@@ -20,7 +20,7 @@ type state struct {
 	fpsr      bool // FP status register defined by a reaching fcmp
 	spKnown   bool // sp offset from entry is a known constant
 	spDelta   int32
-	slots     []slot // save slots; clones share it, so it is replaced, never written in place
+	slots     []slot // save slots; copies share it, so it is replaced, never written in place
 }
 
 // slot is one frame slot holding a pristine callee-saved copy: the
@@ -63,7 +63,7 @@ func (s *state) slotReg(off int32) isa.Reg {
 }
 
 // filter returns the slots keep accepts. It never writes s.slots, which
-// clones share: a result that drops a slot is a new slice, and one that
+// copies share: a result that drops a slot is a new slice, and one that
 // keeps them all is capped so an append cannot write into it.
 func (s *state) filter(keep func(slot) bool) []slot {
 	for i, sl := range s.slots {
@@ -85,13 +85,6 @@ func (s *state) setSlot(off int32, r isa.Reg) {
 }
 
 func (s *state) delSlot(off int32) { s.slots = s.filter(func(sl slot) bool { return sl.off != off }) }
-
-// clone copies the state. The copy shares the save slots, which every
-// update replaces rather than edits.
-func (s *state) clone() *state {
-	c := *s
-	return &c
-}
 
 // merge joins o into s (s is the state already recorded at a program
 // point, o a newly arriving one). It reports whether s changed, and
@@ -190,38 +183,34 @@ func (v *verifier) analyze(f funcSpan) {
 		v.violate(f.start, CheckCFG, "function %s starts in non-code (pool, padding or data)", f.name)
 		return
 	}
-
-	states := map[uint32]*state{}
-	var work []uint32
-	push := func(pc uint32, st *state) {
-		if have, ok := states[pc]; ok {
-			changed, conflict := have.merge(st)
-			if conflict {
-				v.violate(pc, CheckStack, "stack depths differ across joining paths")
-			}
-			if !changed {
-				return
-			}
-		} else {
-			states[pc] = st.clone()
-		}
-		work = append(work, pc)
+	if (f.start-isa.TextBase)%v.ib != 0 {
+		v.violate(f.start, CheckCFG, "function %s starts off an instruction boundary", f.name)
+		return
 	}
 
-	push(f.start, v.entryState())
-	for len(work) > 0 {
-		pc := work[len(work)-1]
-		work = work[:len(work)-1]
-		v.step(f, pc, states[pc].clone(), push)
+	lo, hi := v.slots(f)
+	if cap(v.has) < hi-lo {
+		v.states, v.has = make([]state, hi-lo), make([]bool, hi-lo)
+	}
+	v.lo, v.states, v.has = lo, v.states[:hi-lo], v.has[:hi-lo]
+	clear(v.has)
+	v.push(f.start, v.entryState())
+	for len(v.work) > 0 {
+		pc := v.work[len(v.work)-1]
+		v.work = v.work[:len(v.work)-1]
+		// step interprets a copy: the recorded state is the join later
+		// arrivals merge into.
+		v.cur = v.states[v.idx(pc)-lo]
+		v.step(f, pc, &v.cur)
 	}
 
 	for pc := f.start; pc < f.end; pc += v.ib {
-		if !v.isCode(pc) || v.rep.reachable[pc] {
+		if !v.isCode(pc) || v.reached[v.idx(pc)] {
 			continue
 		}
 		run := 1
 		end := pc + v.ib
-		for end < f.end && v.isCode(end) && !v.rep.reachable[end] {
+		for end < f.end && v.isCode(end) && !v.reached[v.idx(end)] {
 			run++
 			end += v.ib
 		}
@@ -230,10 +219,27 @@ func (v *verifier) analyze(f funcSpan) {
 	}
 }
 
+// push merges st into the state recorded at pc (a copy of st when pc has
+// none yet) and queues pc when that state changed.
+func (v *verifier) push(pc uint32, st *state) {
+	if i := v.idx(pc) - v.lo; v.has[i] {
+		changed, conflict := v.states[i].merge(st)
+		if conflict {
+			v.violate(pc, CheckStack, "stack depths differ across joining paths")
+		}
+		if !changed {
+			return
+		}
+	} else {
+		v.states[i], v.has[i] = *st, true
+	}
+	v.work = append(v.work, pc)
+}
+
 // step interprets the unit at pc (one instruction, or a control transfer
 // folded with its delay slot) over st and pushes successor states.
-func (v *verifier) step(f funcSpan, pc uint32, st *state, push func(uint32, *state)) {
-	v.rep.reachable[pc] = true
+func (v *verifier) step(f funcSpan, pc uint32, st *state) {
+	v.reached[v.idx(pc)] = true
 	in := v.ins[v.idx(pc)]
 	if err := v.derr[v.idx(pc)]; err != nil {
 		v.violate(pc, CheckEncoding, "undecodable instruction word: %v", err)
@@ -249,11 +255,11 @@ func (v *verifier) step(f funcSpan, pc uint32, st *state, push func(uint32, *sta
 			// runtime leaves for the pipeline to drain into) is
 			// considered covered but never interpreted.
 			if v.isCode(pc + v.ib) {
-				v.rep.reachable[pc+v.ib] = true
+				v.reached[v.idx(pc+v.ib)] = true
 			}
 			return
 		}
-		v.flow(f, pc, pc+v.ib, st, push)
+		v.flow(f, pc, pc+v.ib, st)
 		return
 	}
 
@@ -268,7 +274,7 @@ func (v *verifier) step(f funcSpan, pc uint32, st *state, push func(uint32, *sta
 		return
 	}
 	slot := v.ins[v.idx(slotPC)]
-	v.rep.reachable[slotPC] = true
+	v.reached[v.idx(slotPC)] = true
 	v.checkInstr(slotPC, slot)
 	if slot.Op.IsControl() {
 		v.violate(slotPC, CheckCFG, "control transfer in a delay slot")
@@ -305,15 +311,15 @@ func (v *verifier) step(f funcSpan, pc uint32, st *state, push func(uint32, *sta
 	case isa.BR:
 		if v.checkTarget(f, pc, target, false) {
 			v.noteTarget(pc, target)
-			push(target, st)
+			v.push(target, st)
 		}
 	case isa.BZ, isa.BNZ:
 		if v.checkTarget(f, pc, target, false) {
 			v.noteTarget(pc, target)
-			push(target, st)
+			v.push(target, st)
 		}
 		v.noteFall(pc)
-		v.flow(f, pc, fall, st, push)
+		v.flow(f, pc, fall, st)
 	case isa.JL:
 		if haveTarget {
 			if !v.inText(target) || v.starts[target] == "" {
@@ -333,7 +339,7 @@ func (v *verifier) step(f funcSpan, pc uint32, st *state, push func(uint32, *sta
 		if v.spec.NumFPR > 0 {
 			st.def(isa.FRetReg)
 		}
-		v.flow(f, pc, fall, st, push)
+		v.flow(f, pc, fall, st)
 	case isa.J:
 		if !in.HasImm && in.Rs1 == isa.RegLink {
 			v.noteReturn(pc)
@@ -343,7 +349,7 @@ func (v *verifier) step(f funcSpan, pc uint32, st *state, push func(uint32, *sta
 		if haveTarget {
 			if v.checkTarget(f, pc, target, false) {
 				v.noteTarget(pc, target)
-				push(target, st)
+				v.push(target, st)
 			}
 		} else {
 			// An unresolvable indirect jump ends the walk conservatively.
@@ -353,19 +359,19 @@ func (v *verifier) step(f funcSpan, pc uint32, st *state, push func(uint32, *sta
 		if haveTarget {
 			if v.checkTarget(f, pc, target, false) {
 				v.noteTarget(pc, target)
-				push(target, st)
+				v.push(target, st)
 			}
 		} else {
 			v.noteUnresolved(pc)
 		}
 		v.noteFall(pc)
-		v.flow(f, pc, fall, st, push)
+		v.flow(f, pc, fall, st)
 	}
 }
 
 // flow pushes the linear successor, diagnosing falls off the end of the
 // function or into non-code.
-func (v *verifier) flow(f funcSpan, pc, succ uint32, st *state, push func(uint32, *state)) {
+func (v *verifier) flow(f funcSpan, pc, succ uint32, st *state) {
 	if succ >= f.end {
 		v.violate(pc, CheckCFG, "execution falls past the end of %s", f.name)
 		return
@@ -374,7 +380,7 @@ func (v *verifier) flow(f funcSpan, pc, succ uint32, st *state, push func(uint32
 		v.violate(pc, CheckCFG, "execution falls into a literal pool or padding")
 		return
 	}
-	push(succ, st)
+	v.push(succ, st)
 }
 
 // checkTarget validates one branch/jump target; call targets (isCall)

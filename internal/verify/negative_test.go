@@ -68,6 +68,9 @@ var corpusCases = []struct {
 	{"dlxe_call_mid_function.s", isa.DLXe, []expect{
 		{0x1000, verify.CheckCFG, "is not a function entry"},
 	}},
+	{"dlxe_sp_join.s", isa.DLXe, []expect{
+		{0x100c, verify.CheckStack, "stack depths differ across joining paths"},
+	}},
 }
 
 func assembleFile(t *testing.T, file string, spec *isa.Spec) *prog.Image {

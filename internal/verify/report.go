@@ -76,8 +76,7 @@ type Report struct {
 	// Violations lists every finding in address order.
 	Violations []Violation `json:"violations,omitempty"`
 
-	reachable map[uint32]bool
-	cfg       *CFG
+	cfg *CFG
 }
 
 // OK reports whether the image passed every check.

@@ -27,14 +27,8 @@ func Image(img *prog.Image, spec *isa.Spec) *Report {
 		img:  img,
 		spec: spec,
 		ib:   img.Enc.InstrBytes(),
-		rep: &Report{
-			Config:    spec.Name,
-			Enc:       img.Enc.String(),
-			reachable: map[uint32]bool{},
-		},
-		seen:    map[string]bool{},
-		control: map[uint32]*xferRec{},
-		halts:   map[uint32]bool{},
+		rep:  &Report{Config: spec.Name, Enc: img.Enc.String()},
+		seen: map[string]bool{},
 	}
 	v.run()
 	if v.rep.OK() {
@@ -68,10 +62,21 @@ type verifier struct {
 	starts map[uint32]string // function entry addresses -> name
 	seen   map[string]bool   // violation dedup (pc|check|msg)
 
-	// The control transfers the walk resolves, by transfer PC, and the
-	// halting traps it reaches: buildCFG's input.
-	control map[uint32]*xferRec
-	halts   map[uint32]bool
+	// Per instruction slot (idx): whether the walk reached it, the
+	// control transfer it resolved there and whether it halts there
+	// (buildCFG's input).
+	reached []bool
+	control []*xferRec
+	halts   []bool
+
+	// analyze's tables, reused across functions: the state recorded at
+	// each slot of the function (states[idx-lo], valid where has is set),
+	// the worklist, and the state step interprets.
+	lo     int
+	states []state
+	has    []bool
+	work   []uint32
+	cur    state
 }
 
 func (v *verifier) textEnd() uint32 { return isa.TextBase + uint32(len(v.img.Text)) }
@@ -82,6 +87,11 @@ func (v *verifier) inText(pc uint32) bool {
 }
 
 func (v *verifier) idx(pc uint32) int { return int(pc-isa.TextBase) / int(v.ib) }
+
+// slots returns the idx range [lo, hi) of f's instruction slots. A
+// function the walk analyzes starts on an instruction boundary, so its
+// PCs are exactly start + k*ib below end.
+func (v *verifier) slots(f funcSpan) (lo, hi int) { return v.idx(f.start), v.idx(f.end-1) + 1 }
 
 // isCode reports whether pc holds an instruction (in text, outside
 // pools, padding and in-text data).
@@ -121,6 +131,9 @@ func (v *verifier) run() {
 	n := len(v.img.Text) / int(v.ib)
 	v.ins = make([]isa.Instr, n)
 	v.derr = make([]error, n)
+	v.reached = make([]bool, n)
+	v.control = make([]*xferRec, n)
+	v.halts = make([]bool, n)
 	for i := 0; i < n; i++ {
 		pc := isa.TextBase + uint32(i)*v.ib
 		if v.img.InNonCode(pc) {
@@ -147,7 +160,11 @@ func (v *verifier) run() {
 	for _, f := range v.funcs {
 		v.analyze(f)
 	}
-	v.rep.Reached = len(v.rep.reachable)
+	for _, r := range v.reached {
+		if r {
+			v.rep.Reached++
+		}
+	}
 }
 
 // partition splits the text segment into functions at the addresses of
